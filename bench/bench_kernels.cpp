@@ -3,7 +3,8 @@
 //
 // Covers: dense multi-way aggregation vs number of simultaneous targets,
 // sparse chunk-offset aggregation vs chunk extent and density, the
-// generic projection kernel, and the hash-sparse generator.
+// operator-generic scan under each aggregate operator, the generic
+// projection kernel, and the hash-sparse generator.
 #include "bench_util.h"
 
 namespace cubist::bench {
@@ -125,6 +126,56 @@ BENCHMARK(BM_SparseMultiwayDensity)
     ->Arg(5)
     ->Arg(10)
     ->Arg(25)
+    ->Unit(benchmark::kMillisecond);
+
+/// One input-level scan producing all four children of a 32x32x32x16
+/// parent under `op`, as a cube build's root scan does: the dense input of
+/// BM_DenseMultiway/4/4, or the same shape at 10% density, sparse (default
+/// 16^4 chunks). Every operator runs the same striped kernel, so its rows
+/// should track the SUM rows.
+void BM_OperatorScan(benchmark::State& state, AggregateOp op, bool sparse) {
+  const std::vector<std::int64_t> sizes{32, 32, 32, 16};
+  SparseSpec spec;
+  spec.sizes = sizes;
+  spec.density = 0.10;
+  spec.seed = 13;
+  const SparseArray sparse_parent = generate_sparse_global(spec);
+  const DenseArray& dense_parent = dense_fixture(sizes, 3);
+  std::vector<DenseArray> children;
+  for (int pos = 0; pos < 4; ++pos) {
+    children.emplace_back(dense_parent.shape().without_dim(pos));
+    fill_identity(op, children.back());
+  }
+  std::vector<AggregationTarget> targets;
+  for (int pos = 0; pos < 4; ++pos) {
+    targets.push_back({pos, &children[static_cast<std::size_t>(pos)]});
+  }
+  const AggregateOptions options{.op = op, .input_level = true};
+  for (auto _ : state) {
+    const AggregationStats stats =
+        sparse ? aggregate_children(sparse_parent, targets, options)
+               : aggregate_children(dense_parent, targets, options);
+    benchmark::DoNotOptimize(stats);
+  }
+  const std::int64_t cells =
+      sparse ? sparse_parent.nnz() : dense_parent.size();
+  state.SetItemsProcessed(state.iterations() * cells * 4);
+}
+BENCHMARK_CAPTURE(BM_OperatorScan, sum/dense, AggregateOp::kSum, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OperatorScan, count/dense, AggregateOp::kCount, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OperatorScan, min/dense, AggregateOp::kMin, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OperatorScan, max/dense, AggregateOp::kMax, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OperatorScan, sum/sparse10, AggregateOp::kSum, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OperatorScan, count/sparse10, AggregateOp::kCount, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OperatorScan, min/sparse10, AggregateOp::kMin, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OperatorScan, max/sparse10, AggregateOp::kMax, true)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Projection(benchmark::State& state) {

@@ -1,6 +1,7 @@
 #include "array/aggregate.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 #include "common/mathutil.h"
@@ -28,6 +29,16 @@ std::vector<std::int64_t> projection_strides(const Shape& parent_shape,
     if (d == target.aggregated_pos) continue;
     strides[d] = target.child->shape().stride(child_dim);
     ++child_dim;
+  }
+  return strides;
+}
+
+std::vector<std::vector<std::int64_t>> projection_strides(
+    const Shape& parent_shape, std::span<const AggregationTarget> targets) {
+  std::vector<std::vector<std::int64_t>> strides;
+  strides.reserve(targets.size());
+  for (const AggregationTarget& target : targets) {
+    strides.push_back(projection_strides(parent_shape, target));
   }
   return strides;
 }
@@ -86,9 +97,31 @@ ThreadPool& pool_of(const AggregateOptions& options) {
   return options.pool != nullptr ? *options.pool : ThreadPool::global();
 }
 
-/// Sums `bufs` into `child`, cell by cell, in ascending stripe order —
-/// the fixed merge order that makes striped scans bit-identical for any
+/// Calls `scan(std::integral_constant<AggregateOp, op>{})`: the one
+/// operator dispatch per scan, so every kernel below is compiled per
+/// operator with `combine` resolved at compile time.
+template <typename Scan>
+AggregationStats dispatch_op(AggregateOp op, const Scan& scan) {
+  using enum AggregateOp;
+  switch (op) {
+    case kSum:
+      return scan(std::integral_constant<AggregateOp, kSum>{});
+    case kCount:
+      return scan(std::integral_constant<AggregateOp, kCount>{});
+    case kMin:
+      return scan(std::integral_constant<AggregateOp, kMin>{});
+    case kMax:
+      return scan(std::integral_constant<AggregateOp, kMax>{});
+  }
+  CUBIST_ASSERT(false, "unknown aggregate operator");
+  return {};
+}
+
+/// Folds `bufs` into `child`, cell by cell: each cell starts from the
+/// identity and combines the stripes in ascending stripe order — the
+/// fixed merge order that makes striped scans bit-identical for any
 /// thread count. Parallel over disjoint cell ranges.
+template <AggregateOp Op>
 void merge_stripe_buffers(DenseArray* child,
                           const std::vector<DenseArray>& bufs,
                           const AggregateOptions& options) {
@@ -101,12 +134,64 @@ void merge_stripe_buffers(DenseArray* child,
       0, n, std::int64_t{1} << 15,
       [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t i = lo; i < hi; ++i) {
-          Value acc = 0;
-          for (const Value* src : srcs) acc += src[i];
-          out[i] += acc;
+          Value acc = identity_of(Op);
+          for (const Value* src : srcs) combine(Op, acc, src[i]);
+          combine(Op, out[i], acc);
         }
       },
       options.max_workers);
+}
+
+/// Runs `scan(begin, end, bases)` over units [0, units) per `plan`. A
+/// single-stripe plan scans inline straight into the children. Otherwise
+/// each stripe is one pool task; children that alias across stripes are
+/// redirected to identity-filled stripe-private buffers, folded back in
+/// stripe order once every stripe is done.
+template <AggregateOp Op, typename Scan>
+void run_stripes(const StripePlan& plan, std::int64_t units,
+                 std::span<const AggregationTarget> targets,
+                 const AggregateOptions& options, const Scan& scan) {
+  const std::size_t num_targets = targets.size();
+  std::vector<Value*> bases(num_targets);
+  for (std::size_t c = 0; c < num_targets; ++c) {
+    bases[c] = targets[c].child->data();
+  }
+  if (plan.num_stripes <= 1) {
+    scan(0, units, std::span<Value* const>(bases));
+    return;
+  }
+  std::vector<std::vector<DenseArray>> scratch(num_targets);
+  for (std::size_t c = 0; c < num_targets; ++c) {
+    if (plan.aliased[c] == 0) continue;
+    scratch[c].reserve(static_cast<std::size_t>(plan.num_stripes));
+    for (std::int64_t s = 0; s < plan.num_stripes; ++s) {
+      scratch[c].emplace_back(targets[c].child->shape());
+      if constexpr (identity_of(Op) != Value{0}) {
+        scratch[c].back().fill(identity_of(Op));
+      }
+    }
+  }
+  pool_of(options).parallel_for(
+      0, plan.num_stripes, 1,
+      [&](std::int64_t stripe_lo, std::int64_t stripe_hi) {
+        std::vector<Value*> stripe_bases = bases;
+        for (std::int64_t s = stripe_lo; s < stripe_hi; ++s) {
+          for (std::size_t c = 0; c < num_targets; ++c) {
+            if (plan.aliased[c] != 0) {
+              stripe_bases[c] = scratch[c][static_cast<std::size_t>(s)].data();
+            }
+          }
+          const std::int64_t begin = s * plan.stripe_len;
+          scan(begin, std::min(units, begin + plan.stripe_len),
+               std::span<Value* const>(stripe_bases));
+        }
+      },
+      options.max_workers);
+  for (std::size_t c = 0; c < num_targets; ++c) {
+    if (plan.aliased[c] != 0) {
+      merge_stripe_buffers<Op>(targets[c].child, scratch[c], options);
+    }
+  }
 }
 
 /// One target's state during a dense row scan.
@@ -120,27 +205,36 @@ struct ScanTarget {
   std::int64_t row_start = 0;
 };
 
-/// Scans parent rows [row_begin, row_end), accumulating every target.
-/// Row-major row order with a fixed per-row target order, so the
-/// arithmetic is independent of how rows are striped across threads
-/// (per child cell, all contributions come from one stripe, in row
-/// order). The inner loops are specialized for the dominant cases: a
-/// row-sum reduction for the innermost-dimension target (delta 0) and
-/// contiguous vector adds for every other target (delta 1), issued
-/// jointly for up to three targets so the parent row is read once.
+/// Scans parent rows [row_begin, row_end), combining into every target
+/// (`bases[c]` is target c's child or stripe-private buffer). Row-major
+/// row order with a fixed per-row target order, so the arithmetic is
+/// independent of how rows are striped across threads (per child cell,
+/// all contributions come from one stripe, in row order). The inner loops
+/// are specialized for the dominant cases: a row reduction for the
+/// innermost-dimension target (delta 0) and contiguous vector combines
+/// for every other target (delta 1), issued jointly for up to three
+/// targets so the parent row is read once. With `map_input` (input-level
+/// scans of non-SUM operators) each row is mapped as it is loaded: an
+/// empty 0 becomes the identity and COUNT turns every other cell into 1.
+template <AggregateOp Op>
 void scan_dense_rows(const Value* parent_data, const Shape& outer,
                      std::int64_t inner, std::int64_t row_begin,
-                     std::int64_t row_end, std::vector<ScanTarget>& targets) {
+                     std::int64_t row_end,
+                     const std::vector<std::vector<std::int64_t>>& strides,
+                     std::span<Value* const> bases, bool map_input) {
   const int od = outer.ndim();
   const int m = od + 1;
   std::vector<std::int64_t> idx(static_cast<std::size_t>(od), 0);
   outer.unravel(row_begin, idx.data());
-  for (ScanTarget& t : targets) {
-    t.row_start = 0;
+  std::vector<ScanTarget> targets(strides.size());
+  for (std::size_t c = 0; c < targets.size(); ++c) {
+    ScanTarget& t = targets[c];
+    t.base = bases[c];
+    t.strides = strides[c].data();
     for (int d = 0; d < od; ++d) t.row_start += idx[d] * t.strides[d];
   }
   // Split targets by their inner-dimension delta: 0 = the aggregated
-  // dimension is the innermost (row reduction), 1 = contiguous row add.
+  // dimension is the innermost (row reduction), 1 = contiguous row combine.
   std::vector<ScanTarget*> reduce_targets;
   std::vector<ScanTarget*> vec_targets;
   for (ScanTarget& t : targets) {
@@ -150,21 +244,37 @@ void scan_dense_rows(const Value* parent_data, const Shape& outer,
                       << delta);
     (delta == 0 ? reduce_targets : vec_targets).push_back(&t);
   }
+  std::vector<Value> mapped;
+  if constexpr (Op != AggregateOp::kSum) {
+    if (map_input) mapped.resize(static_cast<std::size_t>(inner));
+  }
 
   const Value* cell = parent_data + row_begin * inner;
   for (std::int64_t r = row_begin; r < row_end; ++r) {
     const Value* in = cell;
+    if constexpr (Op != AggregateOp::kSum) {
+      if (map_input) {
+        for (std::int64_t i = 0; i < inner; ++i) {
+          mapped[static_cast<std::size_t>(i)] =
+              cell[i] == Value{0} ? identity_of(Op)
+                                  : contribution_of(Op, cell[i]);
+        }
+        in = mapped.data();
+      }
+    }
     if (!reduce_targets.empty()) {
-      Value sum = 0;  // fixed left-to-right order: deterministic
-      for (std::int64_t i = 0; i < inner; ++i) sum += in[i];
-      for (ScanTarget* t : reduce_targets) t->base[t->row_start] += sum;
+      Value acc = identity_of(Op);  // fixed left-to-right order
+      for (std::int64_t i = 0; i < inner; ++i) combine(Op, acc, in[i]);
+      for (ScanTarget* t : reduce_targets) {
+        combine(Op, t->base[t->row_start], acc);
+      }
     }
     switch (vec_targets.size()) {
       case 0:
         break;
       case 1: {
         Value* o0 = vec_targets[0]->base + vec_targets[0]->row_start;
-        for (std::int64_t i = 0; i < inner; ++i) o0[i] += in[i];
+        for (std::int64_t i = 0; i < inner; ++i) combine(Op, o0[i], in[i]);
         break;
       }
       case 2: {
@@ -172,8 +282,8 @@ void scan_dense_rows(const Value* parent_data, const Shape& outer,
         Value* o1 = vec_targets[1]->base + vec_targets[1]->row_start;
         for (std::int64_t i = 0; i < inner; ++i) {
           const Value v = in[i];
-          o0[i] += v;
-          o1[i] += v;
+          combine(Op, o0[i], v);
+          combine(Op, o1[i], v);
         }
         break;
       }
@@ -183,16 +293,16 @@ void scan_dense_rows(const Value* parent_data, const Shape& outer,
         Value* o2 = vec_targets[2]->base + vec_targets[2]->row_start;
         for (std::int64_t i = 0; i < inner; ++i) {
           const Value v = in[i];
-          o0[i] += v;
-          o1[i] += v;
-          o2[i] += v;
+          combine(Op, o0[i], v);
+          combine(Op, o1[i], v);
+          combine(Op, o2[i], v);
         }
         break;
       }
       default:
         for (ScanTarget* t : vec_targets) {
           Value* out = t->base + t->row_start;
-          for (std::int64_t i = 0; i < inner; ++i) out[i] += in[i];
+          for (std::int64_t i = 0; i < inner; ++i) combine(Op, out[i], in[i]);
         }
         break;
     }
@@ -298,84 +408,39 @@ std::int64_t scan_scratch_bound(const Shape& parent,
                   kMaxScanStripes * total_child_bytes);
 }
 
-AggregationStats aggregate_children(const DenseArray& parent,
-                                    std::span<const AggregationTarget> targets,
-                                    const AggregateOptions& options) {
+namespace {
+
+template <AggregateOp Op>
+AggregationStats aggregate_dense(const DenseArray& parent,
+                                 std::span<const AggregationTarget> targets,
+                                 const AggregateOptions& options) {
   const int m = parent.ndim();
-  const std::size_t num_targets = targets.size();
-  if (num_targets == 0) return {};
-  CUBIST_CHECK(m >= 1, "cannot aggregate a scalar parent");
-
-  std::vector<std::vector<std::int64_t>> strides;
-  strides.reserve(num_targets);
-  for (const auto& target : targets) {
-    strides.push_back(projection_strides(parent.shape(), target));
-  }
-  const std::vector<int> positions = target_positions(targets);
-  const StripePlan plan = plan_dense_scan(parent.shape(), positions);
-
+  const std::vector<std::vector<std::int64_t>> strides =
+      projection_strides(parent.shape(), targets);
+  const StripePlan plan =
+      plan_dense_scan(parent.shape(), target_positions(targets));
   const std::int64_t inner = parent.shape().extent(m - 1);
   const std::int64_t num_rows =
       parent.size() / std::max<std::int64_t>(inner, 1);
   const Shape outer = outer_shape(parent.shape());
-
+  run_stripes<Op>(plan, num_rows, targets, options,
+                  [&](std::int64_t r0, std::int64_t r1,
+                      std::span<Value* const> bases) {
+                    scan_dense_rows<Op>(parent.data(), outer, inner, r0, r1,
+                                        strides, bases, options.input_level);
+                  });
   AggregationStats stats;
   stats.cells_scanned = parent.size();
-  stats.updates = parent.size() * static_cast<std::int64_t>(num_targets);
+  stats.updates = parent.size() * static_cast<std::int64_t>(targets.size());
   stats.scratch_bytes = plan.scratch_bytes;
-
-  if (plan.num_stripes <= 1) {
-    std::vector<ScanTarget> scan_targets(num_targets);
-    for (std::size_t c = 0; c < num_targets; ++c) {
-      scan_targets[c].base = targets[c].child->data();
-      scan_targets[c].strides = strides[c].data();
-    }
-    scan_dense_rows(parent.data(), outer, inner, 0, num_rows, scan_targets);
-    return stats;
-  }
-
-  // Stripe-private accumulators for children that alias across stripes.
-  std::vector<std::vector<DenseArray>> scratch(num_targets);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    if (plan.aliased[c] == 0) continue;
-    scratch[c].reserve(static_cast<std::size_t>(plan.num_stripes));
-    for (std::int64_t s = 0; s < plan.num_stripes; ++s) {
-      scratch[c].emplace_back(targets[c].child->shape());
-    }
-  }
-  pool_of(options).parallel_for(
-      0, plan.num_stripes, 1,
-      [&](std::int64_t stripe_lo, std::int64_t stripe_hi) {
-        for (std::int64_t s = stripe_lo; s < stripe_hi; ++s) {
-          const std::int64_t r0 = s * plan.stripe_len;
-          const std::int64_t r1 =
-              std::min(num_rows, r0 + plan.stripe_len);
-          std::vector<ScanTarget> scan_targets(num_targets);
-          for (std::size_t c = 0; c < num_targets; ++c) {
-            scan_targets[c].base =
-                plan.aliased[c] != 0
-                    ? scratch[c][static_cast<std::size_t>(s)].data()
-                    : targets[c].child->data();
-            scan_targets[c].strides = strides[c].data();
-          }
-          scan_dense_rows(parent.data(), outer, inner, r0, r1, scan_targets);
-        }
-      },
-      options.max_workers);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    if (plan.aliased[c] != 0) {
-      merge_stripe_buffers(targets[c].child, scratch[c], options);
-    }
-  }
   return stats;
 }
 
-namespace {
-
-/// Scans sparse chunks [chunk_begin, chunk_end), accumulating every
-/// target into `bases` (child arrays or stripe-private clones). Chunk
-/// order and per-chunk nonzero order are fixed, so the arithmetic does
-/// not depend on the striping.
+/// Scans sparse chunks [chunk_begin, chunk_end), combining every target
+/// into `bases` (child arrays or stripe-private clones). Chunk order and
+/// per-chunk nonzero order are fixed, so the arithmetic does not depend
+/// on the striping.
+template <AggregateOp Op>
 void scan_sparse_chunks(
     const SparseArray& parent,
     const std::vector<std::vector<std::int64_t>>& strides, bool use_table,
@@ -406,9 +471,9 @@ void scan_sparse_chunks(
     if (use_table && parent.chunk_is_full(chunk_coords)) {
       for (std::size_t i = 0; i < offsets.size(); ++i) {
         const auto off = offsets[i];
-        const Value v = values[i];
+        const Value v = contribution_of(Op, values[i]);
         for (std::size_t c = 0; c < num_targets; ++c) {
-          bases[c][base_ci[c] + offset_table[c][off]] += v;
+          combine(Op, bases[c][base_ci[c] + offset_table[c][off]], v);
         }
       }
     } else {
@@ -417,39 +482,32 @@ void scan_sparse_chunks(
       for (std::size_t i = 0; i < offsets.size(); ++i) {
         local_shape.unravel(static_cast<std::int64_t>(offsets[i]),
                             local.data());
-        const Value v = values[i];
+        const Value v = contribution_of(Op, values[i]);
         for (std::size_t c = 0; c < num_targets; ++c) {
           std::int64_t projected = base_ci[c];
           for (int d = 0; d < m; ++d) {
             projected += local[d] * strides[c][d];
           }
-          bases[c][projected] += v;
+          combine(Op, bases[c][projected], v);
         }
       }
     }
   }
 }
 
-}  // namespace
-
-AggregationStats aggregate_children(const SparseArray& parent,
-                                    std::span<const AggregationTarget> targets,
-                                    const AggregateOptions& options) {
+template <AggregateOp Op>
+AggregationStats aggregate_sparse(const SparseArray& parent,
+                                  std::span<const AggregationTarget> targets,
+                                  const AggregateOptions& options) {
   const int m = parent.ndim();
   const std::size_t num_targets = targets.size();
-  if (num_targets == 0) return {};
-  CUBIST_CHECK(m >= 1, "cannot aggregate a scalar parent");
-
-  std::vector<std::vector<std::int64_t>> strides;
-  strides.reserve(num_targets);
-  for (const auto& target : targets) {
-    strides.push_back(projection_strides(parent.shape(), target));
-  }
+  const std::vector<std::vector<std::int64_t>> strides =
+      projection_strides(parent.shape(), targets);
 
   // Fast path: every interior chunk shares the same shape, so the map
   // (within-chunk offset) -> (child index contribution) is chunk-invariant.
   // Build it once per target; interior non-zeros then cost one table lookup
-  // plus one add per target. Only worthwhile (and only affordable) for
+  // plus one combine per target. Only worthwhile (and only affordable) for
   // reasonably small chunks — past the threshold every chunk takes the
   // decode path instead of allocating a giant table. The table is integer
   // data, so its construction parallelizes without ordering concerns.
@@ -480,58 +538,43 @@ AggregationStats aggregate_children(const SparseArray& parent,
         options.max_workers);
   }
 
-  const std::vector<int> positions = target_positions(targets);
-  const StripePlan plan = plan_sparse_scan(parent.shape(),
-                                           parent.chunk_grid(), positions,
-                                           parent.nnz());
+  const StripePlan plan =
+      plan_sparse_scan(parent.shape(), parent.chunk_grid(),
+                       target_positions(targets), parent.nnz());
+  run_stripes<Op>(plan, parent.num_chunks(), targets, options,
+                  [&](std::int64_t c0, std::int64_t c1,
+                      std::span<Value* const> bases) {
+                    scan_sparse_chunks<Op>(parent, strides, use_table,
+                                           offset_table, c0, c1, bases);
+                  });
   AggregationStats stats;
   stats.cells_scanned = parent.nnz();
   stats.updates =
       stats.cells_scanned * static_cast<std::int64_t>(num_targets);
   stats.scratch_bytes = plan.scratch_bytes;
-
-  if (plan.num_stripes <= 1) {
-    std::vector<Value*> bases(num_targets);
-    for (std::size_t c = 0; c < num_targets; ++c) {
-      bases[c] = targets[c].child->data();
-    }
-    scan_sparse_chunks(parent, strides, use_table, offset_table, 0,
-                       parent.num_chunks(), bases);
-    return stats;
-  }
-
-  std::vector<std::vector<DenseArray>> scratch(num_targets);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    if (plan.aliased[c] == 0) continue;
-    scratch[c].reserve(static_cast<std::size_t>(plan.num_stripes));
-    for (std::int64_t s = 0; s < plan.num_stripes; ++s) {
-      scratch[c].emplace_back(targets[c].child->shape());
-    }
-  }
-  pool_of(options).parallel_for(
-      0, plan.num_stripes, 1,
-      [&](std::int64_t stripe_lo, std::int64_t stripe_hi) {
-        for (std::int64_t s = stripe_lo; s < stripe_hi; ++s) {
-          const std::int64_t c0 = s * plan.stripe_len;
-          const std::int64_t c1 =
-              std::min(parent.num_chunks(), c0 + plan.stripe_len);
-          std::vector<Value*> bases(num_targets);
-          for (std::size_t c = 0; c < num_targets; ++c) {
-            bases[c] = plan.aliased[c] != 0
-                           ? scratch[c][static_cast<std::size_t>(s)].data()
-                           : targets[c].child->data();
-          }
-          scan_sparse_chunks(parent, strides, use_table, offset_table, c0,
-                             c1, bases);
-        }
-      },
-      options.max_workers);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    if (plan.aliased[c] != 0) {
-      merge_stripe_buffers(targets[c].child, scratch[c], options);
-    }
-  }
   return stats;
+}
+
+}  // namespace
+
+AggregationStats aggregate_children(const DenseArray& parent,
+                                    std::span<const AggregationTarget> targets,
+                                    const AggregateOptions& options) {
+  if (targets.empty()) return {};
+  CUBIST_CHECK(parent.ndim() >= 1, "cannot aggregate a scalar parent");
+  return dispatch_op(options.op, [&](auto op) {
+    return aggregate_dense<decltype(op)::value>(parent, targets, options);
+  });
+}
+
+AggregationStats aggregate_children(const SparseArray& parent,
+                                    std::span<const AggregationTarget> targets,
+                                    const AggregateOptions& options) {
+  if (targets.empty()) return {};
+  CUBIST_CHECK(parent.ndim() >= 1, "cannot aggregate a scalar parent");
+  return dispatch_op(options.op, [&](auto op) {
+    return aggregate_sparse<decltype(op)::value>(parent, targets, options);
+  });
 }
 
 namespace {

@@ -9,17 +9,21 @@
 // the aggregated dimension within the parent's dimension list. The lattice
 // layer maps DimSets to positions.
 //
+// Every kernel is generic over the aggregate operator (SUM, COUNT, MIN,
+// MAX; array/aggregate_op.h), chosen per scan by AggregateOptions::op.
+//
 // Large scans run on the shared ThreadPool as deterministic stripes (see
 // docs/PERFORMANCE.md): the parent is cut into cache-sized stripes whose
 // geometry depends only on the array shape — never on the thread count —
 // children that alias across stripes get stripe-private accumulators that
 // are merged in fixed stripe order, so the result is bit-identical for any
-// CUBIST_THREADS setting.
+// CUBIST_THREADS setting, under every operator.
 #pragma once
 
 #include <cstdint>
 #include <span>
 
+#include "array/aggregate_op.h"
 #include "array/dense_array.h"
 #include "array/sparse_array.h"
 
@@ -33,8 +37,9 @@ struct AggregationTarget {
   /// dimension summed away.
   int aggregated_pos;
   /// Output array; its shape must equal parent.shape().without_dim(pos).
-  /// Cells are accumulated into (+=), so callers can aggregate several
-  /// parents into one child if they wish; the cube builder zero-fills.
+  /// Cells are combined into under the scan's operator (+= for SUM), so
+  /// callers can aggregate several parents into one child if they wish;
+  /// the cube builder fills children with the operator's identity.
   DenseArray* child;
 };
 
@@ -42,7 +47,8 @@ struct AggregationTarget {
 struct AggregationStats {
   /// Cells of the parent visited (dense: shape.size(); sparse: nnz).
   std::int64_t cells_scanned = 0;
-  /// Individual `child += value` updates performed (= cells * #targets).
+  /// Individual `child (op)= value` updates performed
+  /// (= cells * #targets).
   std::int64_t updates = 0;
   /// Transient stripe-private accumulator bytes this scan allocated
   /// (0 for single-stripe scans). A high-water mark, not a sum: merging
@@ -67,6 +73,14 @@ struct AggregateOptions {
   /// size() / active_ranks() budget (0 = no extra cap). The parallel
   /// builder sets this to its per-rank worker budget.
   int max_workers = 0;
+  /// Operator the scan combines under.
+  AggregateOp op = AggregateOp::kSum;
+  /// Cell semantics of a dense parent: true = raw input (a 0 cell is
+  /// empty and contributes the identity; COUNT counts non-empty cells),
+  /// false = a live aggregate view whose empty cells already hold the
+  /// identity. Sparse parents are always raw input (COUNT counts stored
+  /// cells). SUM results do not depend on it.
+  bool input_level = true;
 };
 
 // --- deterministic stripe policy (shared by the kernels, the static
@@ -120,17 +134,18 @@ std::int64_t scan_scratch_bound(
     const Shape& parent, std::span<const int> aggregated_positions,
     std::int64_t bytes_per_cell = static_cast<std::int64_t>(sizeof(Value)));
 
-/// Scans a dense parent once, accumulating every target simultaneously.
-/// Striped over the pool per plan_dense_scan; bit-identical results for
-/// any pool size.
+/// Scans a dense parent once, combining into every target simultaneously
+/// under options.op. Striped over the pool per plan_dense_scan;
+/// bit-identical results for any pool size.
 AggregationStats aggregate_children(const DenseArray& parent,
                                     std::span<const AggregationTarget> targets,
                                     const AggregateOptions& options = {});
 
-/// Scans a chunk-offset sparse parent once, accumulating every target.
-/// Uses a per-chunk-shape offset table so interior chunks cost one lookup
-/// and one add per (non-zero, target). Striped over whole chunks per
-/// plan_sparse_scan; bit-identical results for any pool size.
+/// Scans a chunk-offset sparse parent once, combining into every target
+/// under options.op. Uses a per-chunk-shape offset table so interior
+/// chunks cost one lookup and one combine per (non-zero, target).
+/// Striped over whole chunks per plan_sparse_scan; bit-identical results
+/// for any pool size.
 AggregationStats aggregate_children(const SparseArray& parent,
                                     std::span<const AggregationTarget> targets,
                                     const AggregateOptions& options = {});

@@ -1,34 +1,8 @@
 #include "array/aggregate_op.h"
 
-#include <vector>
-
 #include "common/error.h"
 
 namespace cubist {
-namespace {
-
-// Child-array stride of each parent dimension, 0 for the aggregated one
-// (same mapping as the SUM fast path in aggregate.cpp).
-std::vector<std::int64_t> projection_strides(const Shape& parent_shape,
-                                             const AggregationTarget& target) {
-  const int m = parent_shape.ndim();
-  CUBIST_CHECK(target.aggregated_pos >= 0 && target.aggregated_pos < m,
-               "aggregated_pos out of range");
-  CUBIST_CHECK(target.child != nullptr, "null child array");
-  CUBIST_CHECK(target.child->shape() ==
-                   parent_shape.without_dim(target.aggregated_pos),
-               "child shape mismatch");
-  std::vector<std::int64_t> strides(static_cast<std::size_t>(m), 0);
-  int child_dim = 0;
-  for (int d = 0; d < m; ++d) {
-    if (d == target.aggregated_pos) continue;
-    strides[d] = target.child->shape().stride(child_dim);
-    ++child_dim;
-  }
-  return strides;
-}
-
-}  // namespace
 
 std::string to_string(AggregateOp op) {
   switch (op) {
@@ -55,74 +29,6 @@ void finalize_view(AggregateOp op, DenseArray& array) {
   for (std::int64_t i = 0; i < array.size(); ++i) {
     if (data[i] == identity) data[i] = Value{0};
   }
-}
-
-AggregationStats aggregate_children_op(
-    const DenseArray& parent, std::span<const AggregationTarget> targets,
-    AggregateOp op, bool input_level) {
-  const std::size_t num_targets = targets.size();
-  if (num_targets == 0) return {};
-  const int m = parent.ndim();
-  CUBIST_CHECK(m >= 1, "cannot aggregate a scalar parent");
-
-  std::vector<std::vector<std::int64_t>> strides;
-  strides.reserve(num_targets);
-  for (const auto& target : targets) {
-    strides.push_back(projection_strides(parent.shape(), target));
-  }
-  // A cell is skipped if it is empty: raw input marks empty with 0, a live
-  // aggregate view with the operator's identity. (For SUM/COUNT at input
-  // level, "skipping" zeros is a pure optimization — they contribute the
-  // identity anyway.)
-  const Value empty_marker = input_level ? Value{0} : identity_of(op);
-
-  AggregationStats stats;
-  std::vector<std::int64_t> index(static_cast<std::size_t>(m), 0);
-  for (std::int64_t linear = 0; linear < parent.size(); ++linear) {
-    parent.shape().unravel(linear, index.data());
-    const Value raw = parent[linear];
-    ++stats.cells_scanned;
-    if (raw == empty_marker) continue;
-    const Value value = input_level ? contribution_of(op, raw) : raw;
-    for (std::size_t c = 0; c < num_targets; ++c) {
-      std::int64_t projected = 0;
-      for (int d = 0; d < m; ++d) {
-        projected += index[d] * strides[c][d];
-      }
-      combine(op, (*targets[c].child)[projected], value);
-      ++stats.updates;
-    }
-  }
-  return stats;
-}
-
-AggregationStats aggregate_children_op(
-    const SparseArray& parent, std::span<const AggregationTarget> targets,
-    AggregateOp op) {
-  const std::size_t num_targets = targets.size();
-  if (num_targets == 0) return {};
-  const int m = parent.ndim();
-  CUBIST_CHECK(m >= 1, "cannot aggregate a scalar parent");
-
-  std::vector<std::vector<std::int64_t>> strides;
-  strides.reserve(num_targets);
-  for (const auto& target : targets) {
-    strides.push_back(projection_strides(parent.shape(), target));
-  }
-  AggregationStats stats;
-  parent.for_each_nonzero([&](const std::int64_t* index, Value raw) {
-    const Value value = contribution_of(op, raw);
-    for (std::size_t c = 0; c < num_targets; ++c) {
-      std::int64_t projected = 0;
-      for (int d = 0; d < m; ++d) {
-        projected += index[d] * strides[c][d];
-      }
-      combine(op, (*targets[c].child)[projected], value);
-      ++stats.updates;
-    }
-    ++stats.cells_scanned;
-  });
-  return stats;
 }
 
 void combine_arrays(AggregateOp op, DenseArray& dst, const DenseArray& src) {

@@ -5,6 +5,14 @@
 // tiled). AVG is derived: build a SUM cube and a COUNT cube in two passes
 // and divide (`average_of`).
 //
+// Distributive aggregates share one algebra (an identity and an
+// associative, commutative combine), so one kernel family serves them
+// all: the striped multi-way scans of array/aggregate.h are templated on
+// the operator and dispatched once per scan through
+// `AggregateOptions::op`. Every operator therefore gets the same striping,
+// pool and thread-count-invariant bit-identity; the SUM instantiation
+// performs exactly the arithmetic of a plain `+=` kernel.
+//
 // Empty-cell semantics: a zero cell of a dense array and an absent cell
 // of a sparse array both mean "no measurement". While an aggregate view
 // is live, empty cells hold the operator's identity (0 for SUM/COUNT,
@@ -13,14 +21,10 @@
 // with 0 at write-back so persisted views never contain infinities.
 #pragma once
 
-#include <cstdint>
 #include <limits>
-#include <span>
 #include <string>
 
-#include "array/aggregate.h"
 #include "array/dense_array.h"
-#include "array/sparse_array.h"
 
 namespace cubist {
 
@@ -55,11 +59,12 @@ constexpr void combine(AggregateOp op, Value& accumulator, Value value) {
     case AggregateOp::kCount:
       accumulator += value;
       break;
+    // Select form (not a conditional store) so row loops vectorize.
     case AggregateOp::kMin:
-      if (value < accumulator) accumulator = value;
+      accumulator = value < accumulator ? value : accumulator;
       break;
     case AggregateOp::kMax:
-      if (value > accumulator) accumulator = value;
+      accumulator = value > accumulator ? value : accumulator;
       break;
   }
 }
@@ -77,17 +82,6 @@ void fill_identity(AggregateOp op, DenseArray& array);
 /// Replaces leftover identity cells with 0 before a view is written back.
 /// No-op for SUM/COUNT.
 void finalize_view(AggregateOp op, DenseArray& array);
-
-/// Multi-way simultaneous aggregation under `op`. `input_level` selects
-/// the cell semantics: true means `parent` holds raw input (empty = 0 /
-/// absent; COUNT counts cells), false means `parent` is itself an
-/// aggregate view whose empty cells hold the identity.
-AggregationStats aggregate_children_op(
-    const DenseArray& parent, std::span<const AggregationTarget> targets,
-    AggregateOp op, bool input_level);
-AggregationStats aggregate_children_op(
-    const SparseArray& parent, std::span<const AggregationTarget> targets,
-    AggregateOp op);
 
 /// Elementwise combine of two partial aggregate views (the parallel
 /// reduction step): dst <- dst (op) src.

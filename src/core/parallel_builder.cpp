@@ -37,6 +37,7 @@ class RankBuilder {
         options_.pool != nullptr ? options_.pool : &ThreadPool::global();
     agg_options_.pool = pool;
     agg_options_.max_workers = std::max(1, pool->size() / grid_.size());
+    agg_options_.op = options_.op;
     reduce_options_.algorithm = options_.reduce_algorithm;
     reduce_options_.density_hint = options_.reduce_density_hint;
     reduce_options_.max_message_elements = options_.reduce_message_elements;
@@ -89,32 +90,16 @@ class RankBuilder {
     obs::Span span("build", input_level ? "scan_input" : "scan_view");
     span.tag("view", static_cast<std::int64_t>(view.mask()))
         .tag("children", static_cast<std::int64_t>(targets.size()));
+    AggregateOptions scan_options = agg_options_;
+    scan_options.input_level = input_level;
     const AggregationStats scan =
-        scan_parent(parent_array, targets, input_level);
+        aggregate_children(parent_array, targets, scan_options);
     span.tag("cells", scan.cells_scanned).tag("updates", scan.updates);
     stats_.cells_scanned += scan.cells_scanned;
     stats_.updates += scan.updates;
     stats_.peak_scratch_bytes =
         std::max(stats_.peak_scratch_bytes, scan.scratch_bytes);
     comm_.charge_compute(scan.cells_scanned, scan.updates);
-  }
-
-  AggregationStats scan_parent(const DenseArray& parent,
-                               std::span<const AggregationTarget> targets,
-                               bool input_level) {
-    if (options_.op == AggregateOp::kSum) {
-      return aggregate_children(parent, targets, agg_options_);
-    }
-    return aggregate_children_op(parent, targets, options_.op, input_level);
-  }
-
-  AggregationStats scan_parent(const SparseArray& parent,
-                               std::span<const AggregationTarget> targets,
-                               bool /*input_level*/) {
-    if (options_.op == AggregateOp::kSum) {
-      return aggregate_children(parent, targets, agg_options_);
-    }
-    return aggregate_children_op(parent, targets, options_.op);
   }
 
   /// Figure 5's child walk: finalize each child over the wire, then either

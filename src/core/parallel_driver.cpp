@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <optional>
 
@@ -21,35 +22,37 @@ namespace {
 /// Copies a gathered view block into its place in the global view array.
 /// `view_dims` are the retained dimensions (ascending); `block` is the
 /// source rank's block of the *root*, restricted here to those dimensions.
+/// The innermost retained dimension is contiguous in both the block and
+/// the global view, so the block is placed row by row, with an odometer
+/// over the outer dimensions. `payload` holds the block's cells row-major.
 void place_block(DenseArray& global_view, const std::vector<int>& view_dims,
                  const BlockRange& root_block,
-                 const std::vector<Value>& payload) {
+                 std::span<const std::byte> payload) {
   const int m = static_cast<int>(view_dims.size());
-  if (m == 0) {
-    CUBIST_ASSERT(payload.size() == 1, "scalar block size mismatch");
-    global_view[0] += payload[0];
-    return;
-  }
-  std::vector<std::int64_t> lo(static_cast<std::size_t>(m));
+  const Shape& global = global_view.shape();
   std::vector<std::int64_t> extent(static_cast<std::size_t>(m));
   std::int64_t cells = 1;
+  std::int64_t offset = 0;  // global index of the current row's first cell
   for (int i = 0; i < m; ++i) {
-    lo[i] = root_block.lo(view_dims[i]);
     extent[i] = root_block.extent(view_dims[i]);
     cells *= extent[i];
+    offset += root_block.lo(view_dims[i]) * global.stride(i);
   }
-  CUBIST_ASSERT(static_cast<std::int64_t>(payload.size()) == cells,
+  CUBIST_ASSERT(static_cast<std::int64_t>(payload.size()) ==
+                    cells * static_cast<std::int64_t>(sizeof(Value)),
                 "view block size mismatch");
-  const Shape local_shape{extent};
-  std::vector<std::int64_t> local(static_cast<std::size_t>(m));
-  std::vector<std::int64_t> global(static_cast<std::size_t>(m));
-  for (std::int64_t linear = 0; linear < cells; ++linear) {
-    local_shape.unravel(linear, local.data());
-    for (int i = 0; i < m; ++i) {
-      global[i] = lo[i] + local[i];
+  if (cells == 0) return;
+  const std::int64_t row = m == 0 ? 1 : extent[m - 1];
+  const std::size_t row_bytes = static_cast<std::size_t>(row) * sizeof(Value);
+  std::vector<std::int64_t> idx(static_cast<std::size_t>(m), 0);
+  for (std::size_t at = 0; at < payload.size(); at += row_bytes) {
+    std::memcpy(global_view.data() + offset, payload.data() + at, row_bytes);
+    for (int d = m - 2; d >= 0; --d) {
+      offset += global.stride(d);
+      if (++idx[d] < extent[d]) break;
+      offset -= extent[d] * global.stride(d);
+      idx[d] = 0;
     }
-    global_view[global_view.shape().linear_index(global.data())] =
-        payload[static_cast<std::size_t>(linear)];
   }
 }
 
@@ -149,15 +152,17 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
         }()};
         for (int src = 0; src < p; ++src) {
           if (!grid.is_lead_for(src, aggregated)) continue;
-          std::vector<Value> payload;
+          const BlockRange block = grid.block(src, sizes);
           if (src == 0) {
             const DenseArray& mine = local_views.at(mask);
-            payload.assign(mine.data(), mine.data() + mine.size());
+            place_block(global_view, view.dims(), block,
+                        std::as_bytes(std::span<const Value>(
+                            mine.data(),
+                            static_cast<std::size_t>(mine.size()))));
           } else {
-            payload = comm.recv_values(src, tag);
+            place_block(global_view, view.dims(), block,
+                        comm.recv_bytes(src, tag));
           }
-          place_block(global_view, view.dims(), grid.block(src, sizes),
-                      payload);
         }
         std::lock_guard lock(assemble_mutex);
         assembled->put(view, std::move(global_view));

@@ -22,7 +22,9 @@ class Builder {
         op_(op),
         agg_options_(agg_options),
         tree_(n_),
-        result_(sizes_) {}
+        result_(sizes_) {
+    agg_options_.op = op;
+  }
 
   template <typename Root>
   CubeResult run(const Root& root, BuildStats* stats) {
@@ -62,31 +64,14 @@ class Builder {
       ledger_.alloc(it->second.bytes());
       targets.push_back(AggregationTarget{pos, &it->second});
     }
+    AggregateOptions scan_options = agg_options_;
+    scan_options.input_level = input_level;
     const AggregationStats scan =
-        scan_parent(parent_array, targets, input_level);
+        aggregate_children(parent_array, targets, scan_options);
     stats_.cells_scanned += scan.cells_scanned;
     stats_.updates += scan.updates;
     stats_.peak_scratch_bytes =
         std::max(stats_.peak_scratch_bytes, scan.scratch_bytes);
-  }
-
-  AggregationStats scan_parent(const DenseArray& parent,
-                               std::span<const AggregationTarget> targets,
-                               bool input_level) {
-    if (op_ == AggregateOp::kSum) {
-      // Specialized fast path: striped over the pool.
-      return aggregate_children(parent, targets, agg_options_);
-    }
-    return aggregate_children_op(parent, targets, op_, input_level);
-  }
-
-  AggregationStats scan_parent(const SparseArray& parent,
-                               std::span<const AggregationTarget> targets,
-                               bool /*input_level*/) {
-    if (op_ == AggregateOp::kSum) {
-      return aggregate_children(parent, targets, agg_options_);
-    }
-    return aggregate_children_op(parent, targets, op_);
   }
 
   /// Figure 3's right-to-left child walk below an already-computed node.

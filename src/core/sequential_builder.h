@@ -38,10 +38,11 @@ struct BuildStats {
 
 /// Builds the full cube from a dense root array. The result holds every
 /// proper view (the root view is the input itself and is not duplicated).
-/// `op` selects the aggregate (extension; the paper fixes SUM — SUM keeps
-/// the specialized fast kernels). `agg_options` controls intra-scan
-/// parallelism (pool + per-call worker cap); the defaults use the global
-/// pool. Results are bit-identical for every options setting.
+/// `op` selects the aggregate (extension; the paper fixes SUM; every
+/// operator runs the same striped kernels). `agg_options` controls
+/// intra-scan parallelism (pool + per-call worker cap); the defaults use
+/// the global pool, and its `op`/`input_level` are set per scan by the
+/// builder. Results are bit-identical for every options setting.
 CubeResult build_cube_sequential(const DenseArray& root,
                                  BuildStats* stats = nullptr,
                                  AggregateOp op = AggregateOp::kSum,

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "common/error.h"
+#include "common/mathutil.h"
 
 namespace cubist {
 namespace {
@@ -61,6 +62,18 @@ void expect_magic(std::ifstream& in, const char magic[4],
   CUBIST_CHECK(version == kVersion, "unsupported version " << version);
 }
 
+/// Bytes between the read position and the end of the file: the most a
+/// header may declare, checked before anything it sizes is allocated.
+std::int64_t bytes_left(std::ifstream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  CUBIST_CHECK(here >= 0 && end >= here && in.good(),
+               "cannot determine file size");
+  return static_cast<std::int64_t>(end - here);
+}
+
 std::vector<std::int64_t> read_extents(std::ifstream& in) {
   const auto ndim = read_pod<std::uint32_t>(in);
   CUBIST_CHECK(ndim >= 1 && ndim <= 32, "bad dimension count " << ndim);
@@ -88,7 +101,13 @@ void write_dense(const DenseArray& array, const std::string& path) {
 DenseArray read_dense(const std::string& path) {
   std::ifstream in = open_in(path);
   expect_magic(in, "CBDN", path);
-  DenseArray array{Shape{read_extents(in)}};
+  Shape shape{read_extents(in)};  // checks the extent product for overflow
+  const std::int64_t left = bytes_left(in);
+  CUBIST_CHECK(shape.size() <= left / std::int64_t{sizeof(Value)},
+               "header of " << path << " declares " << shape.size()
+                            << " cells but only " << left
+                            << " bytes follow");
+  DenseArray array{std::move(shape)};
   read_raw(in, array.data(),
            static_cast<std::size_t>(array.size()) * sizeof(Value));
   return array;
@@ -117,6 +136,17 @@ SparseArray read_sparse(const std::string& path) {
   std::vector<std::int64_t> chunk_extents(extents.size());
   read_raw(in, chunk_extents.data(),
            chunk_extents.size() * sizeof(std::int64_t));
+  // Every chunk stores at least its count, so the chunk grid (allocated
+  // by the constructor) cannot outgrow the rest of the file.
+  std::vector<std::int64_t> grid(extents.size());
+  for (std::size_t d = 0; d < extents.size(); ++d) {
+    CUBIST_CHECK(extents[d] > 0 && chunk_extents[d] > 0,
+                 "non-positive extent in " << path);
+    grid[d] = ceil_div(extents[d], chunk_extents[d]);
+  }
+  CUBIST_CHECK(checked_product(grid) <=
+                   bytes_left(in) / std::int64_t{sizeof(std::int64_t)},
+               "header of " << path << " declares more chunks than fit in it");
   SparseArray array{Shape{extents}, chunk_extents};
 
   // Re-inject non-zeros chunk by chunk through the public push() so every
@@ -127,6 +157,11 @@ SparseArray read_sparse(const std::string& path) {
   for (std::int64_t c = 0; c < array.num_chunks(); ++c) {
     const auto count = read_pod<std::int64_t>(in);
     CUBIST_CHECK(count >= 0, "negative chunk count");
+    constexpr auto kCellBytes =
+        static_cast<std::int64_t>(sizeof(SparseArray::Offset) + sizeof(Value));
+    CUBIST_CHECK(count <= bytes_left(in) / kCellBytes,
+                 "chunk " << c << " of " << path << " declares " << count
+                          << " cells, more than the file holds");
     std::vector<SparseArray::Offset> offsets(
         static_cast<std::size_t>(count));
     std::vector<Value> values(static_cast<std::size_t>(count));

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <thread>
+#include <vector>
+
+#include "array/aggregate.h"
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "test_util.h"
 
 namespace cubist {
@@ -88,8 +95,8 @@ TEST_P(AggregateOpKernelTest, DenseInputLevelMatchesBruteForce) {
     DenseArray child{parent.shape().without_dim(pos)};
     fill_identity(op, child);
     const AggregationTarget target{pos, &child};
-    aggregate_children_op(parent, std::span(&target, 1), op,
-                          /*input_level=*/true);
+    aggregate_children(parent, std::span(&target, 1),
+                       {.op = op, .input_level = true});
     finalize_view(op, child);
     EXPECT_EQ(child, brute_force_op(parent, pos, op))
         << to_string(op) << " pos=" << pos;
@@ -107,8 +114,9 @@ TEST_P(AggregateOpKernelTest, SparseMatchesDense) {
     fill_identity(op, from_sparse);
     const AggregationTarget dense_target{pos, &from_dense};
     const AggregationTarget sparse_target{pos, &from_sparse};
-    aggregate_children_op(dense, std::span(&dense_target, 1), op, true);
-    aggregate_children_op(sparse, std::span(&sparse_target, 1), op);
+    aggregate_children(dense, std::span(&dense_target, 1),
+                       {.op = op, .input_level = true});
+    aggregate_children(sparse, std::span(&sparse_target, 1), {.op = op});
     EXPECT_EQ(from_dense, from_sparse) << to_string(op) << " pos=" << pos;
   }
 }
@@ -123,12 +131,14 @@ TEST_P(AggregateOpKernelTest, TwoLevelAggregationIsConsistent) {
   DenseArray mid{parent.shape().without_dim(2)};
   fill_identity(op, mid);
   const AggregationTarget t1{2, &mid};
-  aggregate_children_op(parent, std::span(&t1, 1), op, true);
+  aggregate_children(parent, std::span(&t1, 1),
+                     {.op = op, .input_level = true});
   // Level 2: drop dim 1 (of the remaining {0,1}).
   DenseArray final_view{mid.shape().without_dim(1)};
   fill_identity(op, final_view);
   const AggregationTarget t2{1, &final_view};
-  aggregate_children_op(mid, std::span(&t2, 1), op, /*input_level=*/false);
+  aggregate_children(mid, std::span(&t2, 1),
+                     {.op = op, .input_level = false});
   finalize_view(op, final_view);
 
   // Brute force in one shot.
@@ -145,6 +155,146 @@ TEST_P(AggregateOpKernelTest, TwoLevelAggregationIsConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ops, AggregateOpKernelTest,
+                         ::testing::ValuesIn(kAllOps),
+                         [](const auto& param_info) {
+                           return to_string(param_info.param);
+                         });
+
+// --- striped path: shapes large enough that the scan plans cut the
+// --- parent into several stripes, with at least one aliased target ---
+
+/// Pool sizes the determinism contract is exercised with: serial, even,
+/// odd/oversubscribed, and whatever the machine has.
+std::vector<int> pool_sizes() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return {1, 2, 7, hw == 0 ? 1 : static_cast<int>(hw)};
+}
+
+std::vector<int> all_positions(int ndim) {
+  std::vector<int> positions;
+  for (int pos = 0; pos < ndim; ++pos) positions.push_back(pos);
+  return positions;
+}
+
+/// Raw input of small signed integers: 0 (empty) with probability
+/// 1 - density, otherwise a nonzero value in [-9, 9]. Integer-valued so
+/// every SUM is exact and comparable to the brute force bit for bit. The
+/// sign follows the innermost coordinate: negative in its first third,
+/// positive in its last third, random in between. So some child cells
+/// see only negative values and some only positive ones, and a MIN/MAX
+/// stripe partial that wrongly starts from 0 changes the result.
+DenseArray signed_dense(const std::vector<std::int64_t>& extents,
+                        double density, std::uint64_t seed) {
+  DenseArray array{Shape{extents}};
+  const std::int64_t inner = extents.back();
+  Xoshiro256ss rng(seed);
+  for (std::int64_t i = 0; i < array.size(); ++i) {
+    if (rng.next_double() < density) {
+      const auto magnitude = static_cast<Value>(1 + rng.next_below(9));
+      const std::int64_t x = i % inner;
+      const bool negative = x < inner / 3        ? true
+                            : x >= 2 * inner / 3 ? false
+                                                 : rng.next_below(2) == 0;
+      array[i] = negative ? -magnitude : magnitude;
+    }
+  }
+  return array;
+}
+
+bool has_aliased_target(const StripePlan& plan) {
+  for (const std::uint8_t aliased : plan.aliased) {
+    if (aliased != 0) return true;
+  }
+  return false;
+}
+
+/// Every single-dimension child of `parent` from ONE scan under `op` on a
+/// pool of `threads`, finalized for comparison.
+template <typename ParentT>
+std::vector<DenseArray> striped_children(const ParentT& parent, AggregateOp op,
+                                         bool input_level, int threads) {
+  ThreadPool pool(threads);
+  std::vector<DenseArray> children;
+  for (int pos = 0; pos < parent.ndim(); ++pos) {
+    children.emplace_back(parent.shape().without_dim(pos));
+    fill_identity(op, children.back());
+  }
+  std::vector<AggregationTarget> targets;
+  for (int pos = 0; pos < parent.ndim(); ++pos) {
+    targets.push_back({pos, &children[static_cast<std::size_t>(pos)]});
+  }
+  aggregate_children(parent, targets,
+                     {.pool = &pool, .op = op, .input_level = input_level});
+  for (DenseArray& child : children) finalize_view(op, child);
+  return children;
+}
+
+/// Runs the scan on every pool size; each result must equal the brute
+/// force and be bit-identical to the single-thread result.
+template <typename ParentT>
+void expect_striped_matches(const ParentT& parent, const DenseArray& input,
+                            AggregateOp op, bool input_level) {
+  const std::vector<DenseArray> serial =
+      striped_children(parent, op, input_level, 1);
+  for (int pos = 0; pos < input.ndim(); ++pos) {
+    EXPECT_EQ(serial[static_cast<std::size_t>(pos)],
+              brute_force_op(input, pos, op))
+        << to_string(op) << " pos=" << pos;
+  }
+  for (const int threads : pool_sizes()) {
+    const std::vector<DenseArray> pooled =
+        striped_children(parent, op, input_level, threads);
+    for (std::size_t c = 0; c < serial.size(); ++c) {
+      EXPECT_EQ(std::memcmp(serial[c].data(), pooled[c].data(),
+                            static_cast<std::size_t>(serial[c].bytes())),
+                0)
+          << to_string(op) << " child " << c << " differs with " << threads
+          << " threads";
+    }
+  }
+}
+
+class AggregateOpStripedTest : public ::testing::TestWithParam<AggregateOp> {
+};
+
+TEST_P(AggregateOpStripedTest, DenseInputLevelMatchesBruteForceOnEveryPool) {
+  const AggregateOp op = GetParam();
+  const DenseArray input = signed_dense({40, 36, 24}, 0.6, 31);
+  const StripePlan plan = plan_dense_scan(input.shape(), all_positions(3));
+  ASSERT_GT(plan.num_stripes, 1);
+  ASSERT_TRUE(has_aliased_target(plan));
+  expect_striped_matches(input, input, op, /*input_level=*/true);
+}
+
+TEST_P(AggregateOpStripedTest, DenseViewLevelMatchesBruteForceOnEveryPool) {
+  // A live view holds the identity in empty cells and, under COUNT,
+  // counts elsewhere: the input mapped cell by cell.
+  const AggregateOp op = GetParam();
+  const DenseArray input = signed_dense({12, 10, 16, 14}, 0.5, 47);
+  DenseArray view = input;
+  for (std::int64_t i = 0; i < view.size(); ++i) {
+    view[i] = input[i] == Value{0} ? identity_of(op)
+                                   : contribution_of(op, input[i]);
+  }
+  const StripePlan plan = plan_dense_scan(view.shape(), all_positions(4));
+  ASSERT_GT(plan.num_stripes, 1);
+  ASSERT_TRUE(has_aliased_target(plan));
+  expect_striped_matches(view, input, op, /*input_level=*/false);
+}
+
+TEST_P(AggregateOpStripedTest, SparseClippedChunksMatchBruteForceOnEveryPool) {
+  // 8^3 chunks over 45x37x26: every dimension ends in a clipped chunk.
+  const AggregateOp op = GetParam();
+  const DenseArray input = signed_dense({45, 37, 26}, 0.6, 59);
+  const SparseArray sparse = SparseArray::from_dense(input, {8, 8, 8});
+  const StripePlan plan = plan_sparse_scan(
+      sparse.shape(), sparse.chunk_grid(), all_positions(3), sparse.nnz());
+  ASSERT_GT(plan.num_stripes, 1);
+  ASSERT_TRUE(has_aliased_target(plan));
+  expect_striped_matches(sparse, input, op, /*input_level=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ops, AggregateOpStripedTest,
                          ::testing::ValuesIn(kAllOps),
                          [](const auto& param_info) {
                            return to_string(param_info.param);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/parallel_driver.h"
 #include "core/partition.h"
@@ -86,6 +88,37 @@ TEST_P(BuilderOpsTest, ParallelMatchesSequentialAcrossGrids) {
     const ParallelCubeReport report = run_parallel_cube(
         spec.sizes, splits, CostModel{}, provider, true, options);
     EXPECT_EQ(compare_cubes(expected, *report.cube), "")
+        << to_string(op) << " grid " << ProcGrid(splits).to_string();
+  }
+}
+
+TEST_P(BuilderOpsTest, GatherPlacesUnevenBlocks) {
+  // Uneven extents put blocks of different sizes at odd offsets of the
+  // gathered views; a 2-wide dimension split in two leaves rows of length
+  // 1. The 4-D case gathers 3-D views, whose blocks span several rows in
+  // more than one outer dimension.
+  const AggregateOp op = GetParam();
+  ParallelOptions options;
+  options.op = op;
+  const std::pair<std::vector<std::int64_t>, std::vector<int>> cases[] = {
+      {{7, 5, 2}, {1, 1, 1}},
+      {{9, 4, 3}, {2, 1, 0}},
+      {{5, 7, 3, 4}, {1, 1, 0, 1}}};
+  for (const auto& [sizes, splits] : cases) {
+    SparseSpec spec;
+    spec.sizes = sizes;
+    spec.density = 0.4;
+    spec.seed = 808;
+    const BlockProvider provider = [&spec](int, const BlockRange& block) {
+      return generate_sparse_block(spec, block);
+    };
+    const ParallelCubeReport report = run_parallel_cube(
+        sizes, splits, CostModel{}, provider, true, options);
+    ASSERT_TRUE(report.cube.has_value());
+    EXPECT_EQ(compare_cubes(build_cube_sequential(
+                                generate_sparse_global(spec), nullptr, op),
+                            *report.cube),
+              "")
         << to_string(op) << " grid " << ProcGrid(splits).to_string();
   }
 }

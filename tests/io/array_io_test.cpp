@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "io/generators.h"
@@ -97,6 +99,59 @@ TEST_F(ArrayIoTest, TruncatedFileRejected) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() / 2));
   out.close();
   EXPECT_THROW(read_dense(file), InvalidArgument);
+}
+
+/// Appends the raw bytes of `value` to `bytes` (little hand-built headers).
+template <typename T>
+void put(std::string& bytes, const T& value) {
+  bytes.append(reinterpret_cast<const char*>(&value), sizeof value);
+}
+
+std::string header(const char magic[4], std::vector<std::int64_t> extents) {
+  std::string bytes(magic, 4);
+  put(bytes, std::uint32_t{1});  // format version
+  put(bytes, static_cast<std::uint32_t>(extents.size()));
+  for (const std::int64_t e : extents) put(bytes, e);
+  return bytes;
+}
+
+void write_bytes(const std::string& file, const std::string& bytes) {
+  std::ofstream out(file, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(ArrayIoTest, HostileDenseExtentsRejectedBeforeAllocating) {
+  // 2^22 x 2^22 cells = 128 TiB declared by a 32-byte file.
+  const std::string file = track(path("hostile_dense.bin"));
+  write_bytes(file, header("CBDN", {std::int64_t{1} << 22,
+                                    std::int64_t{1} << 22}));
+  EXPECT_THROW(read_dense(file), InvalidArgument);
+  // An extent product that overflows int64 is rejected the same way.
+  write_bytes(file, header("CBDN", {std::int64_t{1} << 40,
+                                    std::int64_t{1} << 40}));
+  EXPECT_THROW(read_dense(file), InvalidArgument);
+}
+
+TEST_F(ArrayIoTest, HostileSparseChunkCountRejectedBeforeAllocating) {
+  // One 4x4 chunk whose count claims 2^58 cells.
+  std::string bytes = header("CBSP", {4, 4});
+  put(bytes, std::int64_t{4});  // chunk extents
+  put(bytes, std::int64_t{4});
+  put(bytes, std::int64_t{1} << 58);
+  const std::string file = track(path("hostile_sparse.bin"));
+  write_bytes(file, bytes);
+  EXPECT_THROW(read_sparse(file), InvalidArgument);
+}
+
+TEST_F(ArrayIoTest, HostileSparseChunkGridRejectedBeforeAllocating) {
+  // 2^44 unit chunks declared with no chunk data at all.
+  std::string bytes =
+      header("CBSP", {std::int64_t{1} << 22, std::int64_t{1} << 22});
+  put(bytes, std::int64_t{1});
+  put(bytes, std::int64_t{1});
+  const std::string file = track(path("hostile_grid.bin"));
+  write_bytes(file, bytes);
+  EXPECT_THROW(read_sparse(file), InvalidArgument);
 }
 
 TEST_F(ArrayIoTest, MissingFileRejected) {
