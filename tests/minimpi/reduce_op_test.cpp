@@ -16,8 +16,10 @@ CostModel fast_model() {
   return model;
 }
 
+// Both fields are 64-bit so the struct has no padding: gtest names each case
+// after the raw bytes of its parameter, and padding bytes are indeterminate.
 struct ReduceCase {
-  int group_size;
+  std::int64_t group_size;
   std::int64_t message_cap;
 };
 
@@ -25,7 +27,8 @@ class ChunkedReduceTest : public ::testing::TestWithParam<ReduceCase> {};
 
 TEST_P(ChunkedReduceTest, SumMatchesWholeBlockForAnyCap) {
   const auto [p, cap] = GetParam();
-  Runtime::run(p, fast_model(), [p = p, cap = cap](Comm& comm) {
+  const auto ranks = static_cast<int>(p);
+  Runtime::run(ranks, fast_model(), [p = p, cap = cap](Comm& comm) {
     std::vector<int> group(static_cast<std::size_t>(p));
     std::iota(group.begin(), group.end(), 0);
     DenseArray data{Shape{{37}}};  // deliberately not a multiple of caps
