@@ -3,8 +3,11 @@
 //
 // Covers: dense multi-way aggregation vs number of simultaneous targets,
 // sparse chunk-offset aggregation vs chunk extent and density, the
-// operator-generic scan under each aggregate operator, the generic
-// projection kernel, and the hash-sparse generator.
+// operator-generic scan under each aggregate operator, the concurrent
+// single-thread root scans of a 4-rank build, the generic projection
+// kernel, and the hash-sparse generator.
+#include <thread>
+
 #include "bench_util.h"
 
 namespace cubist::bench {
@@ -131,8 +134,8 @@ BENCHMARK(BM_SparseMultiwayDensity)
 /// One input-level scan producing all four children of a 32x32x32x16
 /// parent under `op`, as a cube build's root scan does: the dense input of
 /// BM_DenseMultiway/4/4, or the same shape at 10% density, sparse (default
-/// 16^4 chunks). Every operator runs the same striped kernel, so its rows
-/// should track the SUM rows.
+/// 16^4 chunks). Every operator runs the same owner-computes kernel, so
+/// its rows should track the SUM rows.
 void BM_OperatorScan(benchmark::State& state, AggregateOp op, bool sparse) {
   const std::vector<std::int64_t> sizes{32, 32, 32, 16};
   SparseSpec spec;
@@ -177,6 +180,48 @@ BENCHMARK_CAPTURE(BM_OperatorScan, min/sparse10, AggregateOp::kMin, true)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_OperatorScan, max/sparse10, AggregateOp::kMax, true)
     ->Unit(benchmark::kMillisecond);
+
+/// The scan phase of a 4-rank build: the root scans of the four 2x2x1x1
+/// blocks of 96^4 at 10% density (sparse, default 16^4 chunks), run at
+/// once on one thread each, as the ranks of a 4-rank build on a 4-thread
+/// pool do. Each rank allocates its four children fresh every iteration,
+/// as the builder does, so page faults on the outputs are part of the time.
+void BM_ConcurrentRankScans(benchmark::State& state) {
+  static const std::vector<SparseArray> blocks = [] {
+    SparseSpec spec;
+    spec.sizes = {96, 96, 96, 96};
+    spec.density = 0.10;
+    spec.seed = 17;
+    const ProcGrid grid({1, 1, 0, 0});
+    std::vector<SparseArray> out;
+    for (int r = 0; r < grid.size(); ++r) {
+      out.push_back(generate_sparse_block(spec, grid.block(r, spec.sizes)));
+    }
+    return out;
+  }();
+  std::int64_t nnz = 0;
+  for (const SparseArray& block : blocks) nnz += block.nnz();
+  for (auto _ : state) {
+    std::vector<std::thread> ranks;
+    for (const SparseArray& block : blocks) {
+      ranks.emplace_back([&block] {
+        std::vector<DenseArray> children;
+        children.reserve(4);
+        std::vector<AggregationTarget> targets;
+        for (int pos = 0; pos < 4; ++pos) {
+          children.emplace_back(block.shape().without_dim(pos));
+          targets.push_back({pos, &children.back()});
+        }
+        const AggregationStats stats =
+            aggregate_children(block, targets, {.max_workers = 1});
+        benchmark::DoNotOptimize(stats);
+      });
+    }
+    for (std::thread& rank : ranks) rank.join();
+  }
+  state.SetItemsProcessed(state.iterations() * nnz * 4);
+}
+BENCHMARK(BM_ConcurrentRankScans)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_Projection(benchmark::State& state) {
   const DenseArray& parent = dense_fixture({48, 48, 48}, 9);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "array/aggregate.h"
 #include "common/error.h"
 #include "lattice/aggregation_tree.h"
 #include "minimpi/proc_grid.h"
@@ -48,29 +47,10 @@ class RankPlanner {
   }
 
   void compute_children(DimSet view) {
-    const std::vector<int> view_dims = view.dims();
-    std::vector<int> aggregated_positions;
     for (DimSet child : tree_.children(view)) {
-      const int aggregated = view.minus(child).min_dim();
-      int pos = 0;
-      while (view_dims[pos] != aggregated) ++pos;
-      aggregated_positions.push_back(pos);
       plan_.memory.push_back({PlannedMemoryEvent::Kind::kAlloc, child.mask(),
                               view_bytes(child)});
     }
-    if (aggregated_positions.empty()) return;
-    // Charge the scan's transient stripe-scratch ceiling (the kernels'
-    // deterministic stripe policy; see docs/PERFORMANCE.md). The bound
-    // only depends on the parent block's shape, so the plan stays valid
-    // for every chunk layout, density, and thread count.
-    std::vector<std::int64_t> parent_extents;
-    parent_extents.reserve(view_dims.size());
-    for (int d : view_dims) parent_extents.push_back(block_.extent(d));
-    plan_.max_scan_scratch_bytes =
-        std::max(plan_.max_scan_scratch_bytes,
-                 scan_scratch_bound(Shape{parent_extents},
-                                    aggregated_positions,
-                                    spec_.bytes_per_cell));
   }
 
   void descend(DimSet view) {

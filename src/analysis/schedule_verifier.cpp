@@ -5,7 +5,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "array/aggregate.h"
 #include "common/error.h"
 #include "lattice/cube_lattice.h"
 #include "lattice/memory_sim.h"
@@ -296,19 +295,6 @@ void check_memory(const ScheduleSpec& spec, const CommPlan& plan,
       add_violation(report, ViolationCode::kMemoryLeak, r, kNoView, 0,
                     ledger.live_bytes(), msg.str());
     }
-    const std::int64_t scratch =
-        plan.ranks[static_cast<std::size_t>(r)].max_scan_scratch_bytes;
-    report.max_scan_scratch_bytes =
-        std::max(report.max_scan_scratch_bytes, scratch);
-    if (scratch > kScanScratchBudgetBytes) {
-      std::ostringstream msg;
-      msg << "rank " << r << " plans " << scratch
-          << " transient scan-scratch bytes, above the stripe-policy "
-             "budget of "
-          << kScanScratchBudgetBytes;
-      add_violation(report, ViolationCode::kMemoryBoundExceeded, r, kNoView,
-                    kScanScratchBudgetBytes, scratch, msg.str());
-    }
   }
 }
 
@@ -433,8 +419,7 @@ std::string AnalysisReport::to_string() const {
       << planned_messages << " messages, " << planned_total_elements
       << " elements; Theorem 3 predicts " << predicted_total_elements
       << "; peak live " << max_peak_live_bytes << " bytes vs Theorem 4 bound "
-      << memory_bound_bytes << "; transient scan scratch <= "
-      << max_scan_scratch_bytes << " bytes)";
+      << memory_bound_bytes << ")";
   for (const Violation& violation : violations) {
     out << "\n" << violation.to_string();
   }
@@ -449,7 +434,6 @@ std::string AnalysisReport::to_json() const {
       << ",\"planned_messages\":" << planned_messages
       << ",\"max_peak_live_bytes\":" << max_peak_live_bytes
       << ",\"memory_bound_bytes\":" << memory_bound_bytes
-      << ",\"max_scan_scratch_bytes\":" << max_scan_scratch_bytes
       << ",\"dense_bound_bytes_by_view\":{";
   bool first_bound = true;
   for (const auto& [mask, bytes] : dense_bound_bytes_by_view) {

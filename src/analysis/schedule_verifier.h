@@ -112,11 +112,6 @@ struct AnalysisReport {
   std::int64_t max_peak_live_bytes = 0;
   /// Theorem 4's per-processor bound in bytes.
   std::int64_t memory_bound_bytes = 0;
-  /// Max over ranks of the planned transient stripe-scratch ceiling
-  /// (scan_scratch_bound of each rank's largest scan). Lives only during
-  /// a scan, so it is reported next to — not inside — the Theorem 4
-  /// bound, and is itself capped by kScanScratchBudgetBytes.
-  std::int64_t max_scan_scratch_bytes = 0;
   /// The dense Lemma-1 volume bound per reduction edge, in bytes — what
   /// the wire audit certifies measured wire bytes against (views with a
   /// zero bound are omitted). Filled by verify_schedule and

@@ -4,7 +4,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/mathutil.h"
+#include "common/error.h"
 #include "common/thread_pool.h"
 
 namespace cubist {
@@ -43,56 +43,6 @@ std::vector<std::vector<std::int64_t>> projection_strides(
   return strides;
 }
 
-std::int64_t child_bytes_for(const Shape& parent, int aggregated_pos) {
-  return parent.size() / parent.extent(aggregated_pos) *
-         static_cast<std::int64_t>(sizeof(Value));
-}
-
-/// Shared stripe planner over an iteration space of `units` row-major
-/// units. `alias_block[c]` is the aligned run length (in units) within
-/// which all contributions to one cell/region of child c fall: stripes
-/// whose length is a multiple of it write disjoint child regions. Walks
-/// the candidate stripe counts downward until the private-accumulator
-/// scratch fits the budget; everything here is a function of shapes (and
-/// `work_cells`), never of the thread count.
-StripePlan plan_stripes(std::int64_t units, const Shape& space,
-                        std::span<const std::int64_t> alias_block,
-                        std::span<const std::int64_t> child_bytes,
-                        std::int64_t work_cells) {
-  StripePlan plan;
-  plan.stripe_len = std::max<std::int64_t>(units, 1);
-  plan.aliased.assign(alias_block.size(), 0);
-  const std::int64_t desired =
-      std::min(kMaxScanStripes, work_cells / kMinCellsPerStripe);
-  if (units <= 1 || desired <= 1) return plan;
-  for (std::int64_t g = std::min(desired, units); g >= 2; --g) {
-    const std::int64_t raw = ceil_div(units, g);
-    // Align the stripe length to the largest iteration-space stride that
-    // fits, so as many targets as possible become alias-free.
-    std::int64_t align = 1;
-    for (int d = 0; d < space.ndim(); ++d) {
-      if (space.stride(d) <= raw) align = std::max(align, space.stride(d));
-    }
-    const std::int64_t len = ceil_div(raw, align) * align;
-    const std::int64_t stripes = ceil_div(units, len);
-    if (stripes <= 1) continue;
-    std::int64_t scratch = 0;
-    for (std::size_t c = 0; c < alias_block.size(); ++c) {
-      if (len % alias_block[c] != 0) scratch += child_bytes[c];
-    }
-    scratch *= stripes;
-    if (scratch > kScanScratchBudgetBytes) continue;
-    plan.num_stripes = stripes;
-    plan.stripe_len = len;
-    for (std::size_t c = 0; c < alias_block.size(); ++c) {
-      plan.aliased[c] = len % alias_block[c] != 0 ? 1 : 0;
-    }
-    plan.scratch_bytes = scratch;
-    return plan;
-  }
-  return plan;
-}
-
 ThreadPool& pool_of(const AggregateOptions& options) {
   return options.pool != nullptr ? *options.pool : ThreadPool::global();
 }
@@ -117,87 +67,92 @@ AggregationStats dispatch_op(AggregateOp op, const Scan& scan) {
   return {};
 }
 
-/// Folds `bufs` into `child`, cell by cell: each cell starts from the
-/// identity and combines the stripes in ascending stripe order — the
-/// fixed merge order that makes striped scans bit-identical for any
-/// thread count. Parallel over disjoint cell ranges.
-template <AggregateOp Op>
-void merge_stripe_buffers(DenseArray* child,
-                          const std::vector<DenseArray>& bufs,
-                          const AggregateOptions& options) {
-  const std::int64_t n = child->size();
-  Value* out = child->data();
-  std::vector<const Value*> srcs;
-  srcs.reserve(bufs.size());
-  for (const DenseArray& buf : bufs) srcs.push_back(buf.data());
-  pool_of(options).parallel_for(
-      0, n, std::int64_t{1} << 15,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t i = lo; i < hi; ++i) {
-          Value acc = identity_of(Op);
-          for (const Value* src : srcs) combine(Op, acc, src[i]);
-          combine(Op, out[i], acc);
-        }
-      },
-      options.max_workers);
-}
+/// One target as the unit scans see it. Built once per scan; the passes
+/// hand subsets of these to their tasks, so per-target tables are shared
+/// by pointer, never copied.
+struct KernelTarget {
+  /// The child array's cells.
+  Value* base = nullptr;
+  /// Child stride per parent dimension (0 for the aggregated one).
+  const std::int64_t* strides = nullptr;
+  /// Sparse only: projected child offset of every cell of a full chunk,
+  /// or nullptr when boundary-style decoding is used everywhere.
+  const std::int64_t* chunk_offsets = nullptr;
+};
 
-/// Runs `scan(begin, end, bases)` over units [0, units) per `plan`. A
-/// single-stripe plan scans inline straight into the children. Otherwise
-/// each stripe is one pool task; children that alias across stripes are
-/// redirected to identity-filled stripe-private buffers, folded back in
-/// stripe order once every stripe is done.
-template <AggregateOp Op, typename Scan>
-void run_stripes(const StripePlan& plan, std::int64_t units,
-                 std::span<const AggregationTarget> targets,
-                 const AggregateOptions& options, const Scan& scan) {
-  const std::size_t num_targets = targets.size();
-  std::vector<Value*> bases(num_targets);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    bases[c] = targets[c].child->data();
+/// The units one task scans, in this order: `count` runs of `len` units,
+/// run i starting at unit `first + i * stride` (ascending, disjoint).
+struct UnitRuns {
+  std::int64_t first = 0;
+  std::int64_t len = 0;
+  std::int64_t stride = 0;
+  std::int64_t count = 1;
+};
+
+/// Runs `scan(runs, targets)` over the units of `grid` (row-major) per
+/// plan_scan_split: every child cell is written by exactly one task, which
+/// visits the units feeding it in ascending order. Both passes run as one
+/// pool job; pass-1 and pass-2 tasks write different children.
+template <typename Scan>
+void run_owner_computes(const Shape& grid, std::int64_t work_cells,
+                        std::span<const AggregationTarget> targets,
+                        std::span<const KernelTarget> kernel_targets,
+                        const AggregateOptions& options, const Scan& scan) {
+  const std::int64_t units = grid.size();
+  if (units == 0) return;
+  ThreadPool& pool = pool_of(options);
+  std::vector<int> grid_dims;
+  grid_dims.reserve(targets.size());
+  for (const AggregationTarget& target : targets) {
+    grid_dims.push_back(target.aggregated_pos);
   }
-  if (plan.num_stripes <= 1) {
-    scan(0, units, std::span<Value* const>(bases));
+  const ScanSplit split = plan_scan_split(
+      grid, grid_dims, pool.budget(options.max_workers), work_cells);
+  if (split.lead_end == 0) {
+    scan(UnitRuns{.len = units}, kernel_targets);
     return;
   }
-  std::vector<std::vector<DenseArray>> scratch(num_targets);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    if (plan.aliased[c] == 0) continue;
-    scratch[c].reserve(static_cast<std::size_t>(plan.num_stripes));
-    for (std::int64_t s = 0; s < plan.num_stripes; ++s) {
-      scratch[c].emplace_back(targets[c].child->shape());
-      if constexpr (identity_of(Op) != Value{0}) {
-        scratch[c].back().fill(identity_of(Op));
-      }
-    }
+  std::vector<KernelTarget> pass1;
+  std::vector<KernelTarget> pass2;
+  for (std::size_t c = 0; c < kernel_targets.size(); ++c) {
+    (split.pass2[c] != 0 ? pass2 : pass1).push_back(kernel_targets[c]);
   }
-  pool_of(options).parallel_for(
-      0, plan.num_stripes, 1,
-      [&](std::int64_t stripe_lo, std::int64_t stripe_hi) {
-        std::vector<Value*> stripe_bases = bases;
-        for (std::int64_t s = stripe_lo; s < stripe_hi; ++s) {
-          for (std::size_t c = 0; c < num_targets; ++c) {
-            if (plan.aliased[c] != 0) {
-              stripe_bases[c] = scratch[c][static_cast<std::size_t>(s)].data();
-            }
+  std::int64_t lead = 1;  // leading slabs
+  for (int d = 0; d < split.lead_end; ++d) lead *= grid.extent(d);
+  std::int64_t owned = 1;  // pass-2 owned indices per slab
+  for (int d = split.lead_end; d < split.owned_end; ++d) {
+    owned *= grid.extent(d);
+  }
+  const std::int64_t slab = units / lead;
+  const std::int64_t run = slab / owned;
+  pool.parallel_for(
+      0, split.pass1_tasks + split.pass2_tasks, 1,
+      [&](std::int64_t lo, std::int64_t hi) {
+        for (std::int64_t task = lo; task < hi; ++task) {
+          if (task < split.pass1_tasks) {
+            // Leading slabs [s0, s1): one contiguous run of units.
+            const std::int64_t s0 = task * lead / split.pass1_tasks;
+            const std::int64_t s1 = (task + 1) * lead / split.pass1_tasks;
+            scan(UnitRuns{.first = s0 * slab, .len = (s1 - s0) * slab},
+                 std::span<const KernelTarget>(pass1));
+            continue;
           }
-          const std::int64_t begin = s * plan.stripe_len;
-          scan(begin, std::min(units, begin + plan.stripe_len),
-               std::span<Value* const>(stripe_bases));
+          // Owned indices [o0, o1) of every leading slab, slab by slab.
+          const std::int64_t t = task - split.pass1_tasks;
+          const std::int64_t o0 = t * owned / split.pass2_tasks;
+          const std::int64_t o1 = (t + 1) * owned / split.pass2_tasks;
+          scan(UnitRuns{.first = o0 * run,
+                        .len = (o1 - o0) * run,
+                        .stride = slab,
+                        .count = lead},
+               std::span<const KernelTarget>(pass2));
         }
       },
       options.max_workers);
-  for (std::size_t c = 0; c < num_targets; ++c) {
-    if (plan.aliased[c] != 0) {
-      merge_stripe_buffers<Op>(targets[c].child, scratch[c], options);
-    }
-  }
 }
 
 /// One target's state during a dense row scan.
 struct ScanTarget {
-  /// Accumulation base: the child array or a stripe-private buffer
-  /// (same indexing either way — private buffers clone the child shape).
   Value* base = nullptr;
   /// Child stride per parent dimension (0 for the aggregated one).
   const std::int64_t* strides = nullptr;
@@ -205,12 +160,10 @@ struct ScanTarget {
   std::int64_t row_start = 0;
 };
 
-/// Scans parent rows [row_begin, row_end), combining into every target
-/// (`bases[c]` is target c's child or stripe-private buffer). Row-major
-/// row order with a fixed per-row target order, so the arithmetic is
-/// independent of how rows are striped across threads (per child cell,
-/// all contributions come from one stripe, in row order). The inner loops
-/// are specialized for the dominant cases: a row reduction for the
+/// Scans the parent rows of `runs`, combining into every target. Rows go
+/// in ascending order, so per child cell the contributions of these rows
+/// arrive in ascending row order. The inner loops are
+/// specialized for the dominant cases: a row reduction for the
 /// innermost-dimension target (delta 0) and contiguous vector combines
 /// for every other target (delta 1), issued jointly for up to three
 /// targets so the parent row is read once. With `map_input` (input-level
@@ -218,20 +171,16 @@ struct ScanTarget {
 /// empty 0 becomes the identity and COUNT turns every other cell into 1.
 template <AggregateOp Op>
 void scan_dense_rows(const Value* parent_data, const Shape& outer,
-                     std::int64_t inner, std::int64_t row_begin,
-                     std::int64_t row_end,
-                     const std::vector<std::vector<std::int64_t>>& strides,
-                     std::span<Value* const> bases, bool map_input) {
+                     std::int64_t inner, const UnitRuns& runs,
+                     std::span<const KernelTarget> kernel_targets,
+                     bool map_input) {
   const int od = outer.ndim();
   const int m = od + 1;
   std::vector<std::int64_t> idx(static_cast<std::size_t>(od), 0);
-  outer.unravel(row_begin, idx.data());
-  std::vector<ScanTarget> targets(strides.size());
+  std::vector<ScanTarget> targets(kernel_targets.size());
   for (std::size_t c = 0; c < targets.size(); ++c) {
-    ScanTarget& t = targets[c];
-    t.base = bases[c];
-    t.strides = strides[c].data();
-    for (int d = 0; d < od; ++d) t.row_start += idx[d] * t.strides[d];
+    targets[c].base = kernel_targets[c].base;
+    targets[c].strides = kernel_targets[c].strides;
   }
   // Split targets by their inner-dimension delta: 0 = the aggregated
   // dimension is the innermost (row reduction), 1 = contiguous row combine.
@@ -249,166 +198,140 @@ void scan_dense_rows(const Value* parent_data, const Shape& outer,
     if (map_input) mapped.resize(static_cast<std::size_t>(inner));
   }
 
-  const Value* cell = parent_data + row_begin * inner;
-  for (std::int64_t r = row_begin; r < row_end; ++r) {
-    const Value* in = cell;
-    if constexpr (Op != AggregateOp::kSum) {
-      if (map_input) {
-        for (std::int64_t i = 0; i < inner; ++i) {
-          mapped[static_cast<std::size_t>(i)] =
-              cell[i] == Value{0} ? identity_of(Op)
-                                  : contribution_of(Op, cell[i]);
-        }
-        in = mapped.data();
-      }
+  for (std::int64_t run = 0; run < runs.count; ++run) {
+    const std::int64_t row_begin = runs.first + run * runs.stride;
+    outer.unravel(row_begin, idx.data());
+    for (ScanTarget& t : targets) {
+      t.row_start = 0;
+      for (int d = 0; d < od; ++d) t.row_start += idx[d] * t.strides[d];
     }
-    if (!reduce_targets.empty()) {
-      Value acc = identity_of(Op);  // fixed left-to-right order
-      for (std::int64_t i = 0; i < inner; ++i) combine(Op, acc, in[i]);
-      for (ScanTarget* t : reduce_targets) {
-        combine(Op, t->base[t->row_start], acc);
-      }
-    }
-    switch (vec_targets.size()) {
-      case 0:
-        break;
-      case 1: {
-        Value* o0 = vec_targets[0]->base + vec_targets[0]->row_start;
-        for (std::int64_t i = 0; i < inner; ++i) combine(Op, o0[i], in[i]);
-        break;
-      }
-      case 2: {
-        Value* o0 = vec_targets[0]->base + vec_targets[0]->row_start;
-        Value* o1 = vec_targets[1]->base + vec_targets[1]->row_start;
-        for (std::int64_t i = 0; i < inner; ++i) {
-          const Value v = in[i];
-          combine(Op, o0[i], v);
-          combine(Op, o1[i], v);
+    const Value* cell = parent_data + row_begin * inner;
+    for (std::int64_t r = 0; r < runs.len; ++r) {
+      const Value* in = cell;
+      if constexpr (Op != AggregateOp::kSum) {
+        if (map_input) {
+          for (std::int64_t i = 0; i < inner; ++i) {
+            mapped[static_cast<std::size_t>(i)] =
+                cell[i] == Value{0} ? identity_of(Op)
+                                    : contribution_of(Op, cell[i]);
+          }
+          in = mapped.data();
         }
-        break;
       }
-      case 3: {
-        Value* o0 = vec_targets[0]->base + vec_targets[0]->row_start;
-        Value* o1 = vec_targets[1]->base + vec_targets[1]->row_start;
-        Value* o2 = vec_targets[2]->base + vec_targets[2]->row_start;
-        for (std::int64_t i = 0; i < inner; ++i) {
-          const Value v = in[i];
-          combine(Op, o0[i], v);
-          combine(Op, o1[i], v);
-          combine(Op, o2[i], v);
+      if (!reduce_targets.empty()) {
+        Value acc = identity_of(Op);  // fixed left-to-right order
+        for (std::int64_t i = 0; i < inner; ++i) combine(Op, acc, in[i]);
+        for (ScanTarget* t : reduce_targets) {
+          combine(Op, t->base[t->row_start], acc);
         }
-        break;
       }
-      default:
-        for (ScanTarget* t : vec_targets) {
-          Value* out = t->base + t->row_start;
-          for (std::int64_t i = 0; i < inner; ++i) combine(Op, out[i], in[i]);
+      switch (vec_targets.size()) {
+        case 0:
+          break;
+        case 1: {
+          Value* o0 = vec_targets[0]->base + vec_targets[0]->row_start;
+          for (std::int64_t i = 0; i < inner; ++i) combine(Op, o0[i], in[i]);
+          break;
         }
-        break;
-    }
-    cell += inner;
-    // Odometer over the outer dimensions, updating each row start.
-    for (int d = od - 1; d >= 0; --d) {
-      ++idx[d];
-      if (idx[d] < outer.extent(d)) {
-        for (ScanTarget& t : targets) t.row_start += t.strides[d];
-        break;
+        case 2: {
+          Value* o0 = vec_targets[0]->base + vec_targets[0]->row_start;
+          Value* o1 = vec_targets[1]->base + vec_targets[1]->row_start;
+          for (std::int64_t i = 0; i < inner; ++i) {
+            const Value v = in[i];
+            combine(Op, o0[i], v);
+            combine(Op, o1[i], v);
+          }
+          break;
+        }
+        case 3: {
+          Value* o0 = vec_targets[0]->base + vec_targets[0]->row_start;
+          Value* o1 = vec_targets[1]->base + vec_targets[1]->row_start;
+          Value* o2 = vec_targets[2]->base + vec_targets[2]->row_start;
+          for (std::int64_t i = 0; i < inner; ++i) {
+            const Value v = in[i];
+            combine(Op, o0[i], v);
+            combine(Op, o1[i], v);
+            combine(Op, o2[i], v);
+          }
+          break;
+        }
+        default:
+          for (ScanTarget* t : vec_targets) {
+            Value* out = t->base + t->row_start;
+            for (std::int64_t i = 0; i < inner; ++i) {
+              combine(Op, out[i], in[i]);
+            }
+          }
+          break;
       }
-      idx[d] = 0;
-      for (ScanTarget& t : targets) {
-        t.row_start -= (outer.extent(d) - 1) * t.strides[d];
+      cell += inner;
+      // Odometer over the outer dimensions, updating each row start.
+      for (int d = od - 1; d >= 0; --d) {
+        ++idx[d];
+        if (idx[d] < outer.extent(d)) {
+          for (ScanTarget& t : targets) t.row_start += t.strides[d];
+          break;
+        }
+        idx[d] = 0;
+        for (ScanTarget& t : targets) {
+          t.row_start -= (outer.extent(d) - 1) * t.strides[d];
+        }
       }
     }
   }
-}
-
-Shape outer_shape(const Shape& parent) {
-  std::vector<std::int64_t> extents(parent.extents().begin(),
-                                    parent.extents().end());
-  extents.pop_back();
-  return Shape{extents};
-}
-
-std::vector<int> target_positions(std::span<const AggregationTarget> targets) {
-  std::vector<int> positions;
-  positions.reserve(targets.size());
-  for (const AggregationTarget& target : targets) {
-    positions.push_back(target.aggregated_pos);
-  }
-  return positions;
 }
 
 }  // namespace
 
-StripePlan plan_dense_scan(const Shape& parent,
-                           std::span<const int> aggregated_positions) {
-  const int m = parent.ndim();
-  StripePlan single;
-  single.aliased.assign(aggregated_positions.size(), 0);
-  single.stripe_len = 1;
-  if (m <= 1) return single;
-  const std::int64_t inner = parent.extent(m - 1);
-  const std::int64_t rows = parent.size() / std::max<std::int64_t>(inner, 1);
-  single.stripe_len = std::max<std::int64_t>(rows, 1);
-  if (rows <= 1 || parent.size() == 0) return single;
-  const Shape outer = outer_shape(parent);
-  std::vector<std::int64_t> alias_block;
-  std::vector<std::int64_t> child_bytes;
-  for (const int a : aggregated_positions) {
-    CUBIST_CHECK(a >= 0 && a < m, "aggregated position out of range");
-    // Rows feeding one child cell: exactly one row when the innermost
-    // dimension is aggregated; otherwise an aligned run of rows spanning
-    // the aggregated dimension's row stride.
-    if (a == m - 1) {
-      alias_block.push_back(1);
-    } else if (a == 0) {
-      alias_block.push_back(rows);
-    } else {
-      alias_block.push_back(outer.stride(a - 1));
-    }
-    child_bytes.push_back(child_bytes_for(parent, a));
+ScanSplit plan_scan_split(const Shape& grid, std::span<const int> grid_dims,
+                          int budget, std::int64_t work_cells) {
+  const int k = grid.ndim();
+  ScanSplit split;
+  split.pass2.assign(grid_dims.size(), 0);
+  for (const int d : grid_dims) {
+    CUBIST_CHECK(d >= 0 && d <= k, "grid dimension " << d << " out of range");
   }
-  return plan_stripes(rows, outer, alias_block, child_bytes, parent.size());
-}
-
-StripePlan plan_sparse_scan(const Shape& parent, const Shape& chunk_grid,
-                            std::span<const int> aggregated_positions,
-                            std::int64_t work_cells) {
-  const int m = parent.ndim();
-  CUBIST_CHECK(chunk_grid.ndim() == m, "chunk grid rank mismatch");
-  const std::int64_t units = chunk_grid.size();
-  StripePlan single;
-  single.aliased.assign(aggregated_positions.size(), 0);
-  single.stripe_len = std::max<std::int64_t>(units, 1);
-  if (units <= 1) return single;
-  std::vector<std::int64_t> alias_block;
-  std::vector<std::int64_t> child_bytes;
-  for (const int a : aggregated_positions) {
-    CUBIST_CHECK(a >= 0 && a < m, "aggregated position out of range");
-    // Chunks feeding one child region differ only in chunk coordinate a:
-    // an aligned run of extent(a) * stride(a) = stride(a - 1) chunk ids.
-    alias_block.push_back(a == 0 ? units : chunk_grid.stride(a - 1));
-    child_bytes.push_back(child_bytes_for(parent, a));
+  if (budget <= 1 || work_cells < kMinCellsToSplit || k == 0 ||
+      grid.size() <= 1) {
+    return split;
   }
-  return plan_stripes(units, chunk_grid, alias_block, child_bytes,
-                      work_cells);
-}
-
-std::int64_t scan_scratch_bound(const Shape& parent,
-                                std::span<const int> aggregated_positions,
-                                std::int64_t bytes_per_cell) {
-  CUBIST_CHECK(bytes_per_cell > 0, "bytes_per_cell must be positive");
-  std::int64_t total_child_bytes = 0;
-  for (const int a : aggregated_positions) {
-    CUBIST_CHECK(a >= 0 && a < parent.ndim(),
-                 "aggregated position out of range");
-    total_child_bytes += parent.size() / parent.extent(a) * bytes_per_cell;
+  const std::int64_t want = kTasksPerWorker * budget;
+  // Pass 1: the fewest leading dimensions that give `want` slabs.
+  std::int64_t lead = grid.extent(0);
+  split.lead_end = 1;
+  while (lead < want && split.lead_end < k) {
+    lead *= grid.extent(split.lead_end++);
   }
-  return std::min(kScanScratchBudgetBytes,
-                  kMaxScanStripes * total_child_bytes);
+  // Pass 2: the fewest following dimensions that give `want` owners.
+  std::int64_t owned = 1;
+  split.owned_end = split.lead_end;
+  while (owned < want && split.owned_end < k) {
+    owned *= grid.extent(split.owned_end++);
+  }
+  bool any_pass1 = false;
+  bool any_pass2 = false;
+  for (std::size_t c = 0; c < grid_dims.size(); ++c) {
+    split.pass2[c] = grid_dims[c] < split.lead_end ? 1 : 0;
+    (split.pass2[c] != 0 ? any_pass2 : any_pass1) = true;
+  }
+  split.pass1_tasks = any_pass1 ? std::min(lead, want) : 0;
+  split.pass2_tasks = any_pass2 ? std::min(owned, want) : 0;
+  return split;
 }
 
 namespace {
+
+/// Binds each target's child and projection strides for the unit scans.
+std::vector<KernelTarget> kernel_targets_of(
+    std::span<const AggregationTarget> targets,
+    const std::vector<std::vector<std::int64_t>>& strides) {
+  std::vector<KernelTarget> bound(targets.size());
+  for (std::size_t c = 0; c < targets.size(); ++c) {
+    bound[c].base = targets[c].child->data();
+    bound[c].strides = strides[c].data();
+  }
+  return bound;
+}
 
 template <AggregateOp Op>
 AggregationStats aggregate_dense(const DenseArray& parent,
@@ -417,78 +340,78 @@ AggregationStats aggregate_dense(const DenseArray& parent,
   const int m = parent.ndim();
   const std::vector<std::vector<std::int64_t>> strides =
       projection_strides(parent.shape(), targets);
-  const StripePlan plan =
-      plan_dense_scan(parent.shape(), target_positions(targets));
   const std::int64_t inner = parent.shape().extent(m - 1);
-  const std::int64_t num_rows =
-      parent.size() / std::max<std::int64_t>(inner, 1);
-  const Shape outer = outer_shape(parent.shape());
-  run_stripes<Op>(plan, num_rows, targets, options,
-                  [&](std::int64_t r0, std::int64_t r1,
-                      std::span<Value* const> bases) {
-                    scan_dense_rows<Op>(parent.data(), outer, inner, r0, r1,
-                                        strides, bases, options.input_level);
-                  });
+  // Units are rows: the grid is the outer dimensions, and the innermost
+  // target's position m - 1 is the grid's "no dimension".
+  const Shape outer = parent.shape().without_dim(m - 1);
+  run_owner_computes(outer, parent.size(), targets,
+                     kernel_targets_of(targets, strides), options,
+                     [&](const UnitRuns& rows,
+                         std::span<const KernelTarget> subset) {
+                       scan_dense_rows<Op>(parent.data(), outer, inner, rows,
+                                           subset, options.input_level);
+                     });
   AggregationStats stats;
   stats.cells_scanned = parent.size();
   stats.updates = parent.size() * static_cast<std::int64_t>(targets.size());
-  stats.scratch_bytes = plan.scratch_bytes;
   return stats;
 }
 
-/// Scans sparse chunks [chunk_begin, chunk_end), combining every target
-/// into `bases` (child arrays or stripe-private clones). Chunk order and
-/// per-chunk nonzero order are fixed, so the arithmetic does not depend
-/// on the striping.
+/// Scans the sparse chunks of `runs`, combining into every target. Chunks
+/// go in ascending id order and the nonzeros of a chunk in their stored
+/// order, so per child cell the contributions of these chunks arrive in
+/// serial scan order.
 template <AggregateOp Op>
-void scan_sparse_chunks(
-    const SparseArray& parent,
-    const std::vector<std::vector<std::int64_t>>& strides, bool use_table,
-    const std::vector<std::vector<std::int64_t>>& offset_table,
-    std::int64_t chunk_begin, std::int64_t chunk_end,
-    std::span<Value* const> bases) {
+void scan_sparse_chunks(const SparseArray& parent, const UnitRuns& runs,
+                        std::span<const KernelTarget> targets) {
   const int m = parent.ndim();
-  const std::size_t num_targets = strides.size();
+  const std::size_t num_targets = targets.size();
+  const std::vector<std::int64_t>& chunk_extents = parent.chunk_extents();
   std::vector<std::int64_t> chunk_coords(static_cast<std::size_t>(m), 0);
   std::vector<std::int64_t> local(static_cast<std::size_t>(m), 0);
-  std::vector<std::int64_t> base_ci(num_targets);
+  std::vector<Value*> out(num_targets);
 
-  for (std::int64_t chunk_id = chunk_begin; chunk_id < chunk_end;
-       ++chunk_id) {
-    const auto offsets = parent.chunk_offsets(chunk_id);
-    if (offsets.empty()) continue;
-    const auto values = parent.chunk_values(chunk_id);
-    parent.chunk_grid().unravel(chunk_id, chunk_coords.data());
-    const auto base = parent.chunk_base(chunk_coords);
-    for (std::size_t c = 0; c < num_targets; ++c) {
-      std::int64_t projected = 0;
-      for (int d = 0; d < m; ++d) {
-        projected += base[d] * strides[c][d];
-      }
-      base_ci[c] = projected;
-    }
-
-    if (use_table && parent.chunk_is_full(chunk_coords)) {
-      for (std::size_t i = 0; i < offsets.size(); ++i) {
-        const auto off = offsets[i];
-        const Value v = contribution_of(Op, values[i]);
-        for (std::size_t c = 0; c < num_targets; ++c) {
-          combine(Op, bases[c][base_ci[c] + offset_table[c][off]], v);
+  for (std::int64_t run = 0; run < runs.count; ++run) {
+    const std::int64_t first = runs.first + run * runs.stride;
+    for (std::int64_t chunk_id = first; chunk_id < first + runs.len;
+         ++chunk_id) {
+      const auto offsets = parent.chunk_offsets(chunk_id);
+      if (offsets.empty()) continue;
+      const auto values = parent.chunk_values(chunk_id);
+      parent.chunk_grid().unravel(chunk_id, chunk_coords.data());
+      // out[c] points at the child cell of this chunk's origin.
+      for (std::size_t c = 0; c < num_targets; ++c) {
+        std::int64_t projected = 0;
+        for (int d = 0; d < m; ++d) {
+          projected +=
+              chunk_coords[d] * chunk_extents[d] * targets[c].strides[d];
         }
+        out[c] = targets[c].base + projected;
       }
-    } else {
-      // Boundary chunk: clipped extents, decode offsets directly.
-      const Shape local_shape{parent.chunk_shape_at(chunk_coords)};
-      for (std::size_t i = 0; i < offsets.size(); ++i) {
-        local_shape.unravel(static_cast<std::int64_t>(offsets[i]),
-                            local.data());
-        const Value v = contribution_of(Op, values[i]);
-        for (std::size_t c = 0; c < num_targets; ++c) {
-          std::int64_t projected = base_ci[c];
-          for (int d = 0; d < m; ++d) {
-            projected += local[d] * strides[c][d];
+
+      if (targets[0].chunk_offsets != nullptr &&
+          parent.chunk_is_full(chunk_coords)) {
+        for (std::size_t i = 0; i < offsets.size(); ++i) {
+          const auto off = offsets[i];
+          const Value v = contribution_of(Op, values[i]);
+          for (std::size_t c = 0; c < num_targets; ++c) {
+            combine(Op, out[c][targets[c].chunk_offsets[off]], v);
           }
-          combine(Op, bases[c][projected], v);
+        }
+      } else {
+        // Boundary chunk: clipped extents, decode offsets directly.
+        const Shape local_shape{parent.chunk_shape_at(chunk_coords)};
+        for (std::size_t i = 0; i < offsets.size(); ++i) {
+          local_shape.unravel(static_cast<std::int64_t>(offsets[i]),
+                              local.data());
+          const Value v = contribution_of(Op, values[i]);
+          for (std::size_t c = 0; c < num_targets; ++c) {
+            std::int64_t projected = 0;
+            for (int d = 0; d < m; ++d) {
+              projected += local[d] * targets[c].strides[d];
+            }
+            combine(Op, out[c][projected], v);
+          }
         }
       }
     }
@@ -503,6 +426,7 @@ AggregationStats aggregate_sparse(const SparseArray& parent,
   const std::size_t num_targets = targets.size();
   const std::vector<std::vector<std::int64_t>> strides =
       projection_strides(parent.shape(), targets);
+  std::vector<KernelTarget> bound = kernel_targets_of(targets, strides);
 
   // Fast path: every interior chunk shares the same shape, so the map
   // (within-chunk offset) -> (child index contribution) is chunk-invariant.
@@ -514,11 +438,11 @@ AggregationStats aggregate_sparse(const SparseArray& parent,
   constexpr std::int64_t kMaxTableVolume = std::int64_t{1} << 22;
   const Shape full_chunk_shape{parent.chunk_extents()};
   const std::int64_t full_volume = full_chunk_shape.size();
-  const bool use_table = full_volume <= kMaxTableVolume;
   std::vector<std::vector<std::int64_t>> offset_table(num_targets);
-  if (use_table) {
+  if (full_volume <= kMaxTableVolume) {
     for (std::size_t c = 0; c < num_targets; ++c) {
       offset_table[c].resize(static_cast<std::size_t>(full_volume));
+      bound[c].chunk_offsets = offset_table[c].data();
     }
     pool_of(options).parallel_for(
         0, full_volume, std::int64_t{1} << 14,
@@ -538,20 +462,16 @@ AggregationStats aggregate_sparse(const SparseArray& parent,
         options.max_workers);
   }
 
-  const StripePlan plan =
-      plan_sparse_scan(parent.shape(), parent.chunk_grid(),
-                       target_positions(targets), parent.nnz());
-  run_stripes<Op>(plan, parent.num_chunks(), targets, options,
-                  [&](std::int64_t c0, std::int64_t c1,
-                      std::span<Value* const> bases) {
-                    scan_sparse_chunks<Op>(parent, strides, use_table,
-                                           offset_table, c0, c1, bases);
-                  });
+  run_owner_computes(parent.chunk_grid(), parent.nnz(), targets, bound,
+                     options,
+                     [&](const UnitRuns& chunks,
+                         std::span<const KernelTarget> subset) {
+                       scan_sparse_chunks<Op>(parent, chunks, subset);
+                     });
   AggregationStats stats;
   stats.cells_scanned = parent.nnz();
   stats.updates =
       stats.cells_scanned * static_cast<std::int64_t>(num_targets);
-  stats.scratch_bytes = plan.scratch_bytes;
   return stats;
 }
 
@@ -614,7 +534,7 @@ AggregationStats project(const DenseArray& parent,
   Value* dst = out->data();
   if (m == 0) {
     dst[0] += parent[0];
-    return {1, 1, 0};
+    return {1, 1};
   }
   std::vector<std::int64_t> index(static_cast<std::size_t>(m), 0);
   for (std::int64_t linear = 0; linear < parent.size(); ++linear) {
@@ -625,7 +545,7 @@ AggregationStats project(const DenseArray& parent,
     }
     dst[projected] += parent[linear];
   }
-  return {parent.size(), parent.size(), 0};
+  return {parent.size(), parent.size()};
 }
 
 AggregationStats project(const SparseArray& parent,

@@ -12,16 +12,18 @@
 // Every kernel is generic over the aggregate operator (SUM, COUNT, MIN,
 // MAX; array/aggregate_op.h), chosen per scan by AggregateOptions::op.
 //
-// Large scans run on the shared ThreadPool as deterministic stripes (see
-// docs/PERFORMANCE.md): the parent is cut into cache-sized stripes whose
-// geometry depends only on the array shape — never on the thread count —
-// children that alias across stripes get stripe-private accumulators that
-// are merged in fixed stripe order, so the result is bit-identical for any
-// CUBIST_THREADS setting, under every operator.
+// Large scans run on the shared ThreadPool owner-computes (see
+// docs/PERFORMANCE.md): every child cell is written by exactly one task,
+// and that task visits the units (parent rows or chunks) feeding the cell
+// in ascending unit order. Each cell therefore combines its contributions
+// in serial scan order however the scan is split, so the result is
+// bit-identical for any CUBIST_THREADS setting, under every operator, with
+// no scratch buffers and no merge.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "array/aggregate_op.h"
 #include "array/dense_array.h"
@@ -50,24 +52,17 @@ struct AggregationStats {
   /// Individual `child (op)= value` updates performed
   /// (= cells * #targets).
   std::int64_t updates = 0;
-  /// Transient stripe-private accumulator bytes this scan allocated
-  /// (0 for single-stripe scans). A high-water mark, not a sum: merging
-  /// stats keeps the max, because the scratch of one scan is released
-  /// before the next scan starts.
-  std::int64_t scratch_bytes = 0;
 
   AggregationStats& operator+=(const AggregationStats& o) {
     cells_scanned += o.cells_scanned;
     updates += o.updates;
-    scratch_bytes = scratch_bytes > o.scratch_bytes ? scratch_bytes
-                                                    : o.scratch_bytes;
     return *this;
   }
 };
 
 /// Execution knobs of one scan (defaults reproduce the global policy).
 struct AggregateOptions {
-  /// Pool to stripe the scan over; nullptr = ThreadPool::global().
+  /// Pool to split the scan over; nullptr = ThreadPool::global().
   ThreadPool* pool = nullptr;
   /// Extra cap on the scan's concurrency on top of the pool's own
   /// size() / active_ranks() budget (0 = no extra cap). The parallel
@@ -83,60 +78,46 @@ struct AggregateOptions {
   bool input_level = true;
 };
 
-// --- deterministic stripe policy (shared by the kernels, the static
-// --- memory analysis, and the tests; see docs/PERFORMANCE.md) ---
+// --- owner-computes split policy (shared by the kernels and the tests;
+// --- see docs/PERFORMANCE.md) ---
 
-/// Most stripes a scan is ever cut into (the parallelism ceiling).
-inline constexpr std::int64_t kMaxScanStripes = 16;
-/// Scans smaller than one stripe of this many cells stay single-stripe.
-inline constexpr std::int64_t kMinCellsPerStripe = 1 << 13;
-/// Hard cap on the transient private-accumulator bytes of one scan; the
-/// stripe count shrinks (ultimately to 1 = scalar) to respect it.
-inline constexpr std::int64_t kScanScratchBudgetBytes =
-    std::int64_t{64} << 20;
+/// Scans with fewer cells (dense: size; sparse: nnz) run as one inline
+/// pass on the caller.
+inline constexpr std::int64_t kMinCellsToSplit = 1 << 14;
+/// Tasks per pass a split scan aims at, per worker of the thread budget.
+inline constexpr std::int64_t kTasksPerWorker = 4;
 
-/// Deterministic decomposition of one scan: a function of shapes (and for
-/// sparse scans the nonzero count) only — never of the thread count.
-struct StripePlan {
-  /// Number of stripes; 1 = scalar single-thread scan, no scratch.
-  std::int64_t num_stripes = 1;
-  /// Units per stripe (dense: parent rows; sparse: chunk-grid chunks).
-  std::int64_t stripe_len = 0;
-  /// Per target: does its child alias across stripes (and therefore need
-  /// stripe-private accumulators)? Parallel stripes write direct,
-  /// non-aliased targets concurrently into disjoint child regions.
-  std::vector<std::uint8_t> aliased;
-  /// num_stripes * sum of aliased child bytes (0 when num_stripes == 1).
-  std::int64_t scratch_bytes = 0;
+/// How one scan is split into tasks. The units of a scan form a row-major
+/// grid: a dense parent's rows (gridded by its outer dimensions) or a
+/// sparse parent's chunks. Each target aggregates one grid dimension; a
+/// dense innermost target aggregates none (its grid dimension is
+/// grid.ndim()). Pass 1 splits the leading grid dimensions [0, lead_end)
+/// and runs every target that keeps them, so its tasks write disjoint
+/// regions of those children. Pass 2 runs the remaining targets split by
+/// dimensions [lead_end, owned_end); each task walks all leading slabs in
+/// ascending order.
+struct ScanSplit {
+  /// End of the pass-1 split dimensions; 0 = one inline pass, all targets.
+  int lead_end = 0;
+  /// End of the pass-2 split dimensions (== lead_end: pass 2 is one task).
+  int owned_end = 0;
+  /// Tasks of each pass (0 when the pass has no target). The inline pass
+  /// counts as one pass-1 task.
+  std::int64_t pass1_tasks = 1;
+  std::int64_t pass2_tasks = 0;
+  /// Per target: 1 = it aggregates a leading dimension, so runs in pass 2.
+  std::vector<std::uint8_t> pass2;
 };
 
-/// Stripe plan for a dense scan of `parent` over the given aggregated
-/// positions. Units are parent rows (the fastest-varying dimension stays
-/// whole so the inner loops remain contiguous).
-StripePlan plan_dense_scan(const Shape& parent,
-                           std::span<const int> aggregated_positions);
-
-/// Stripe plan for a sparse chunk-offset scan; units are chunks of
-/// `chunk_grid`. `work_cells` sizes the stripes (the kernel passes nnz;
-/// pass parent.size() for a data-independent worst case).
-StripePlan plan_sparse_scan(const Shape& parent, const Shape& chunk_grid,
-                            std::span<const int> aggregated_positions,
-                            std::int64_t work_cells);
-
-/// Upper bound on the transient private-accumulator bytes ANY scan of
-/// `parent` over these positions may allocate, independent of chunk
-/// layout, nonzero count, and thread count:
-/// min(kScanScratchBudgetBytes, kMaxScanStripes * sum of child bytes).
-/// The static schedule analysis charges this per planned scan
-/// (`bytes_per_cell` mirrors ScheduleSpec's knob; the kernels use
-/// sizeof(Value)).
-std::int64_t scan_scratch_bound(
-    const Shape& parent, std::span<const int> aggregated_positions,
-    std::int64_t bytes_per_cell = static_cast<std::int64_t>(sizeof(Value)));
+/// The split of a scan over `grid` whose targets aggregate `grid_dims`,
+/// for a thread budget of `budget` and `work_cells` cells of work. A pure
+/// function of its arguments; the output of the scan does not depend on it.
+ScanSplit plan_scan_split(const Shape& grid, std::span<const int> grid_dims,
+                          int budget, std::int64_t work_cells);
 
 /// Scans a dense parent once, combining into every target simultaneously
-/// under options.op. Striped over the pool per plan_dense_scan;
-/// bit-identical results for any pool size.
+/// under options.op. Split over the pool per plan_scan_split on the
+/// parent's rows; bit-identical results for any pool size.
 AggregationStats aggregate_children(const DenseArray& parent,
                                     std::span<const AggregationTarget> targets,
                                     const AggregateOptions& options = {});
@@ -144,8 +125,8 @@ AggregationStats aggregate_children(const DenseArray& parent,
 /// Scans a chunk-offset sparse parent once, combining into every target
 /// under options.op. Uses a per-chunk-shape offset table so interior
 /// chunks cost one lookup and one combine per (non-zero, target).
-/// Striped over whole chunks per plan_sparse_scan; bit-identical results
-/// for any pool size.
+/// Split over the pool per plan_scan_split on the chunk grid; bit-identical
+/// results for any pool size.
 AggregationStats aggregate_children(const SparseArray& parent,
                                     std::span<const AggregationTarget> targets,
                                     const AggregateOptions& options = {});
@@ -153,9 +134,11 @@ AggregationStats aggregate_children(const SparseArray& parent,
 /// Generic projection: aggregates away every parent dimension NOT listed
 /// in `kept_positions` (ascending positions into the parent's dimension
 /// list) in a single scan. `out` must have the kept extents and is
-/// accumulated into. Used by the naive all-from-root baseline and the
-/// reference verifier — deliberately an independent code path from the
-/// multi-way kernels (and deliberately scalar).
+/// accumulated into under SUM. Used by the MMST/MNST tree baselines, the
+/// reference verifier, PartialCube::build (each selected view from its
+/// smallest materialized ancestor) and the serving miss path
+/// (PartialCube::materialize_from) — an independent code path from the
+/// multi-way kernels, and scalar.
 AggregationStats project(const DenseArray& parent,
                          const std::vector<int>& kept_positions,
                          DenseArray* out);

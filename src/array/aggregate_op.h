@@ -7,11 +7,11 @@
 //
 // Distributive aggregates share one algebra (an identity and an
 // associative, commutative combine), so one kernel family serves them
-// all: the striped multi-way scans of array/aggregate.h are templated on
-// the operator and dispatched once per scan through
-// `AggregateOptions::op`. Every operator therefore gets the same striping,
-// pool and thread-count-invariant bit-identity; the SUM instantiation
-// performs exactly the arithmetic of a plain `+=` kernel.
+// all: the owner-computes multi-way scans of array/aggregate.h are
+// templated on the operator and dispatched once per scan through
+// `AggregateOptions::op`. Every operator therefore gets the same split and
+// the same pool and thread-count-invariant bit-identity; the SUM
+// instantiation performs exactly the arithmetic of a plain `+=` kernel.
 //
 // Empty-cell semantics: a zero cell of a dense array and an absent cell
 // of a sparse array both mean "no measurement". While an aggregate view

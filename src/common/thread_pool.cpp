@@ -114,6 +114,12 @@ void ThreadPool::worker_loop() {
   }
 }
 
+int ThreadPool::budget(int max_workers) const {
+  int workers = std::max(1, size() / active_ranks());
+  if (max_workers > 0) workers = std::min(workers, max_workers);
+  return workers;
+}
+
 void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
                               std::int64_t grain, const Body& body,
                               int max_workers) {
@@ -121,10 +127,9 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
   CUBIST_CHECK(body != nullptr, "null parallel_for body");
   if (begin >= end) return;
 
-  int budget = std::max(1, size() / active_ranks());
-  if (max_workers > 0) budget = std::min(budget, max_workers);
+  const int workers = budget(max_workers);
   const std::int64_t span = end - begin;
-  if (workers_.empty() || budget <= 1 || span <= grain) {
+  if (workers_.empty() || workers <= 1 || span <= grain) {
     body(begin, end);
     return;
   }
@@ -139,9 +144,9 @@ void ThreadPool::parallel_for(std::int64_t begin, std::int64_t end,
     std::lock_guard lock(mutex_);
     jobs_.push_back(job);
   }
-  // Wake at most budget - 1 helpers; the caller is the budget'th thread.
+  // Wake at most workers - 1 helpers; the caller is the last worker.
   // Extra wake-ups are harmless (workers re-park when the queue is dry).
-  for (int i = 0; i < budget - 1; ++i) wake_.notify_one();
+  for (int i = 0; i < workers - 1; ++i) wake_.notify_one();
   run_chunks(*job);
   job->wait();
   {

@@ -58,6 +58,10 @@ class ThreadPool {
   void parallel_for(std::int64_t begin, std::int64_t end, std::int64_t grain,
                     const Body& body, int max_workers = 0);
 
+  /// Concurrency one parallel_for call gets: size() / active_ranks(),
+  /// capped at `max_workers` (0 = no cap); at least 1.
+  int budget(int max_workers = 0) const;
+
   /// The process-wide pool (lazily constructed; honors CUBIST_THREADS).
   static ThreadPool& global();
 

@@ -97,8 +97,6 @@ class RankBuilder {
     span.tag("cells", scan.cells_scanned).tag("updates", scan.updates);
     stats_.cells_scanned += scan.cells_scanned;
     stats_.updates += scan.updates;
-    stats_.peak_scratch_bytes =
-        std::max(stats_.peak_scratch_bytes, scan.scratch_bytes);
     comm_.charge_compute(scan.cells_scanned, scan.updates);
   }
 

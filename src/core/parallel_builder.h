@@ -98,8 +98,8 @@ struct ParallelBuildStats {
   std::int64_t written_bytes = 0;
   std::int64_t cells_scanned = 0;
   std::int64_t updates = 0;
-  /// High-water mark of this rank's transient stripe-private accumulator
-  /// bytes across its scans (a max, not a sum — released per scan).
+  /// Transient scan scratch bytes: always 0. The owner-computes kernels
+  /// write every child cell in place; kept for existing readers.
   std::int64_t peak_scratch_bytes = 0;
   /// Dense-equivalent bytes this rank sent during construction — the
   /// paper's communication-volume measure for this rank.

@@ -245,14 +245,6 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
       .gauge("cubist_build_peak_live_bytes",
              "high-water live bytes across ranks (Theorem-1/4 subject)")
       .set_max(static_cast<double>(report.max_peak_live_bytes));
-  std::int64_t peak_scratch = 0;
-  for (const ParallelBuildStats& stats : report.rank_stats) {
-    peak_scratch = std::max(peak_scratch, stats.peak_scratch_bytes);
-  }
-  registry
-      .gauge("cubist_build_peak_scratch_bytes",
-             "high-water aggregation scratch bytes across ranks")
-      .set_max(static_cast<double>(peak_scratch));
 
   report.cube = std::move(assembled);
   return report;

@@ -70,8 +70,6 @@ class Builder {
         aggregate_children(parent_array, targets, scan_options);
     stats_.cells_scanned += scan.cells_scanned;
     stats_.updates += scan.updates;
-    stats_.peak_scratch_bytes =
-        std::max(stats_.peak_scratch_bytes, scan.scratch_bytes);
   }
 
   /// Figure 3's right-to-left child walk below an already-computed node.

@@ -30,16 +30,15 @@ struct BuildStats {
   std::int64_t cells_scanned = 0;
   /// Aggregation updates performed.
   std::int64_t updates = 0;
-  /// High-water mark of transient stripe-private accumulator bytes across
-  /// all scans (released scan-by-scan, so a max, not a sum; bounded by
-  /// scan_scratch_bound of the largest planned scan).
+  /// Transient scan scratch bytes: always 0. The owner-computes kernels
+  /// write every child cell in place; kept for existing readers.
   std::int64_t peak_scratch_bytes = 0;
 };
 
 /// Builds the full cube from a dense root array. The result holds every
 /// proper view (the root view is the input itself and is not duplicated).
 /// `op` selects the aggregate (extension; the paper fixes SUM; every
-/// operator runs the same striped kernels). `agg_options` controls
+/// operator runs the same multi-way kernels). `agg_options` controls
 /// intra-scan parallelism (pool + per-call worker cap); the defaults use
 /// the global pool, and its `op`/`input_level` are set per scan by the
 /// builder. Results are bit-identical for every options setting.

@@ -13,9 +13,9 @@
 // policy is deterministic for a given operation order.
 //
 // The budget is charged in result-payload bytes (QueryResult::bytes), the
-// same currency the builders' per-rank scratch budgets are accounted in;
+// same currency the builders' live view bytes are accounted in;
 // `peak_bytes` is the cache's high-water mark, mirroring the builders'
-// `peak_scratch_bytes`. Entries larger than the whole budget are rejected
+// `peak_live_bytes`. Entries larger than the whole budget are rejected
 // rather than evicting everything.
 //
 // Thread safety: all operations take an internal mutex. The mutex guards

@@ -94,8 +94,6 @@ CubeResult build_cube_tiled(const SparseArray& root, const TilingPlan& plan,
     totals.peak_live_bytes =
         std::max(totals.peak_live_bytes,
                  slab_stats.peak_live_bytes + persistent_bytes);
-    totals.peak_scratch_bytes =
-        std::max(totals.peak_scratch_bytes, slab_stats.peak_scratch_bytes);
 
     for (DimSet view : slab_cube.stored_views()) {
       DenseArray slab_view = slab_cube.take(view);

@@ -42,8 +42,6 @@ struct TiledBuildStats {
   std::int64_t cells_scanned = 0;
   std::int64_t updates = 0;
   std::int64_t tiles = 1;
-  /// High-water mark of transient scan-scratch bytes across all slabs.
-  std::int64_t peak_scratch_bytes = 0;
 };
 
 /// Builds the full cube slab by slab under `plan`. The result is

@@ -160,8 +160,8 @@ INSTANTIATE_TEST_SUITE_P(Ops, AggregateOpKernelTest,
                            return to_string(param_info.param);
                          });
 
-// --- striped path: shapes large enough that the scan plans cut the
-// --- parent into several stripes, with at least one aliased target ---
+// --- split path: shapes large enough that a parallel scan splits into
+// --- several tasks, with at least one pass-2 target ---
 
 /// Pool sizes the determinism contract is exercised with: serial, even,
 /// odd/oversubscribed, and whatever the machine has.
@@ -182,7 +182,7 @@ std::vector<int> all_positions(int ndim) {
 /// sign follows the innermost coordinate: negative in its first third,
 /// positive in its last third, random in between. So some child cells
 /// see only negative values and some only positive ones, and a MIN/MAX
-/// stripe partial that wrongly starts from 0 changes the result.
+/// partial that wrongly starts from 0 changes the result.
 DenseArray signed_dense(const std::vector<std::int64_t>& extents,
                         double density, std::uint64_t seed) {
   DenseArray array{Shape{extents}};
@@ -201,18 +201,11 @@ DenseArray signed_dense(const std::vector<std::int64_t>& extents,
   return array;
 }
 
-bool has_aliased_target(const StripePlan& plan) {
-  for (const std::uint8_t aliased : plan.aliased) {
-    if (aliased != 0) return true;
-  }
-  return false;
-}
-
 /// Every single-dimension child of `parent` from ONE scan under `op` on a
 /// pool of `threads`, finalized for comparison.
 template <typename ParentT>
-std::vector<DenseArray> striped_children(const ParentT& parent, AggregateOp op,
-                                         bool input_level, int threads) {
+std::vector<DenseArray> split_children(const ParentT& parent, AggregateOp op,
+                                       bool input_level, int threads) {
   ThreadPool pool(threads);
   std::vector<DenseArray> children;
   for (int pos = 0; pos < parent.ndim(); ++pos) {
@@ -232,10 +225,10 @@ std::vector<DenseArray> striped_children(const ParentT& parent, AggregateOp op,
 /// Runs the scan on every pool size; each result must equal the brute
 /// force and be bit-identical to the single-thread result.
 template <typename ParentT>
-void expect_striped_matches(const ParentT& parent, const DenseArray& input,
-                            AggregateOp op, bool input_level) {
+void expect_split_matches(const ParentT& parent, const DenseArray& input,
+                          AggregateOp op, bool input_level) {
   const std::vector<DenseArray> serial =
-      striped_children(parent, op, input_level, 1);
+      split_children(parent, op, input_level, 1);
   for (int pos = 0; pos < input.ndim(); ++pos) {
     EXPECT_EQ(serial[static_cast<std::size_t>(pos)],
               brute_force_op(input, pos, op))
@@ -243,7 +236,7 @@ void expect_striped_matches(const ParentT& parent, const DenseArray& input,
   }
   for (const int threads : pool_sizes()) {
     const std::vector<DenseArray> pooled =
-        striped_children(parent, op, input_level, threads);
+        split_children(parent, op, input_level, threads);
     for (std::size_t c = 0; c < serial.size(); ++c) {
       EXPECT_EQ(std::memcmp(serial[c].data(), pooled[c].data(),
                             static_cast<std::size_t>(serial[c].bytes())),
@@ -260,10 +253,10 @@ class AggregateOpStripedTest : public ::testing::TestWithParam<AggregateOp> {
 TEST_P(AggregateOpStripedTest, DenseInputLevelMatchesBruteForceOnEveryPool) {
   const AggregateOp op = GetParam();
   const DenseArray input = signed_dense({40, 36, 24}, 0.6, 31);
-  const StripePlan plan = plan_dense_scan(input.shape(), all_positions(3));
-  ASSERT_GT(plan.num_stripes, 1);
-  ASSERT_TRUE(has_aliased_target(plan));
-  expect_striped_matches(input, input, op, /*input_level=*/true);
+  ASSERT_TRUE(testing::splits_with_pass2(
+      testing::dense_scan_grid(input.shape()), all_positions(3),
+      input.size()));
+  expect_split_matches(input, input, op, /*input_level=*/true);
 }
 
 TEST_P(AggregateOpStripedTest, DenseViewLevelMatchesBruteForceOnEveryPool) {
@@ -276,10 +269,9 @@ TEST_P(AggregateOpStripedTest, DenseViewLevelMatchesBruteForceOnEveryPool) {
     view[i] = input[i] == Value{0} ? identity_of(op)
                                    : contribution_of(op, input[i]);
   }
-  const StripePlan plan = plan_dense_scan(view.shape(), all_positions(4));
-  ASSERT_GT(plan.num_stripes, 1);
-  ASSERT_TRUE(has_aliased_target(plan));
-  expect_striped_matches(view, input, op, /*input_level=*/false);
+  ASSERT_TRUE(testing::splits_with_pass2(
+      testing::dense_scan_grid(view.shape()), all_positions(4), view.size()));
+  expect_split_matches(view, input, op, /*input_level=*/false);
 }
 
 TEST_P(AggregateOpStripedTest, SparseClippedChunksMatchBruteForceOnEveryPool) {
@@ -287,11 +279,9 @@ TEST_P(AggregateOpStripedTest, SparseClippedChunksMatchBruteForceOnEveryPool) {
   const AggregateOp op = GetParam();
   const DenseArray input = signed_dense({45, 37, 26}, 0.6, 59);
   const SparseArray sparse = SparseArray::from_dense(input, {8, 8, 8});
-  const StripePlan plan = plan_sparse_scan(
-      sparse.shape(), sparse.chunk_grid(), all_positions(3), sparse.nnz());
-  ASSERT_GT(plan.num_stripes, 1);
-  ASSERT_TRUE(has_aliased_target(plan));
-  expect_striped_matches(sparse, input, op, /*input_level=*/true);
+  ASSERT_TRUE(testing::splits_with_pass2(sparse.chunk_grid(),
+                                         all_positions(3), sparse.nnz()));
+  expect_split_matches(sparse, input, op, /*input_level=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ops, AggregateOpStripedTest,
