@@ -5,7 +5,8 @@
 // sparse chunk-offset aggregation vs chunk extent and density, the
 // operator-generic scan under each aggregate operator, the concurrent
 // single-thread root scans of a 4-rank build, the generic projection
-// kernel, and the hash-sparse generator.
+// kernel, the hash-sparse generator, and the input path of the `build`
+// workload (96^4 generation and its four-block partition).
 #include <thread>
 
 #include "bench_util.h"
@@ -247,6 +248,45 @@ void BM_Generator(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64 * 64 * 64);
 }
 BENCHMARK(BM_Generator)->Arg(5)->Arg(25)->Unit(benchmark::kMillisecond);
+
+/// The `build` workload's input: 96^4 at 10% density, default 16^4 chunks.
+SparseSpec build_input_spec() {
+  SparseSpec spec;
+  spec.sizes = {96, 96, 96, 96};
+  spec.density = 0.10;
+  spec.seed = 17;
+  return spec;
+}
+
+void BM_GenerateSparse(benchmark::State& state) {
+  const SparseSpec spec = build_input_spec();
+  std::int64_t nnz = 0;
+  for (auto _ : state) {
+    const SparseArray data = generate_sparse_global(spec);
+    nnz = data.nnz();
+    benchmark::DoNotOptimize(nnz);
+  }
+  state.counters["nnz"] = static_cast<double>(nnz);
+  state.SetItemsProcessed(state.iterations() * 96 * 96 * 96 * 96);
+}
+BENCHMARK(BM_GenerateSparse)->Unit(benchmark::kMillisecond);
+
+/// Partitions the 96^4 input into the four 2x2x1x1 blocks of a 4-rank
+/// build. The blocks line up with whole 16^4 chunks.
+void BM_ExtractBlock(benchmark::State& state) {
+  static const SparseArray global = generate_sparse_global(build_input_spec());
+  const ProcGrid grid({1, 1, 0, 0});
+  for (auto _ : state) {
+    for (int r = 0; r < grid.size(); ++r) {
+      const BlockRange block = grid.block(r, global.shape().extents());
+      const SparseArray local =
+          extract_block(global, block, default_chunks(block.extents()));
+      benchmark::DoNotOptimize(local.nnz());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * global.nnz());
+}
+BENCHMARK(BM_ExtractBlock)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace cubist::bench

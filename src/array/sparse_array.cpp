@@ -76,6 +76,36 @@ void SparseArray::push(const std::int64_t* index, Value value) {
   ++nnz_;
 }
 
+void SparseArray::assign_chunk(std::int64_t chunk_id,
+                               std::vector<Offset> offsets,
+                               std::vector<Value> values) {
+  CUBIST_CHECK(!finalized_, "assign_chunk after finalize");
+  CUBIST_CHECK(chunk_id >= 0 && chunk_id < num_chunks(),
+               "chunk id " << chunk_id << " out of range");
+  CUBIST_CHECK(offsets.size() == values.size(),
+               "chunk " << chunk_id << " has " << offsets.size()
+                        << " offsets but " << values.size() << " values");
+  std::vector<std::int64_t> chunk_coords(static_cast<std::size_t>(ndim()));
+  chunk_grid_.unravel(chunk_id, chunk_coords.data());
+  const std::int64_t volume = checked_product(chunk_shape_at(chunk_coords));
+  std::size_t kept = 0;  // zeros are dropped, as in push()
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    CUBIST_CHECK(static_cast<std::int64_t>(offsets[i]) < volume,
+                 "offset " << offsets[i] << " out of bounds of chunk "
+                           << chunk_id << " (volume " << volume << ")");
+    offsets[kept] = offsets[i];
+    values[kept] = values[i];
+    kept += static_cast<std::size_t>(values[i] != Value{0});
+  }
+  offsets.resize(kept);
+  values.resize(kept);
+  Chunk& chunk = chunks_[static_cast<std::size_t>(chunk_id)];
+  nnz_ += static_cast<std::int64_t>(offsets.size()) -
+          static_cast<std::int64_t>(chunk.offsets.size());
+  chunk.offsets = std::move(offsets);
+  chunk.values = std::move(values);
+}
+
 void SparseArray::finalize() {
   for (std::size_t c = 0; c < chunks_.size(); ++c) {
     Chunk& chunk = chunks_[c];
@@ -89,9 +119,10 @@ void SparseArray::finalize() {
       }
     }
     if (sorted) continue;
-    // Cells can arrive out of chunk order (e.g. extract_block walks the
-    // source's chunks, not the destination's); restore the canonical
-    // ascending-offset layout.
+    // Cells can arrive out of chunk order (e.g. extract_block's general
+    // path walks the source's chunks, not the destination's, and a file may
+    // store a chunk unsorted); restore the canonical ascending-offset
+    // layout.
     std::vector<std::size_t> order(chunk.offsets.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -139,27 +170,6 @@ bool SparseArray::chunk_is_full(
     }
   }
   return true;
-}
-
-void SparseArray::for_each_nonzero(
-    const std::function<void(const std::int64_t*, Value)>& fn) const {
-  std::vector<std::int64_t> chunk_coords(static_cast<std::size_t>(ndim()), 0);
-  std::vector<std::int64_t> index(static_cast<std::size_t>(ndim()), 0);
-  for (std::int64_t chunk_id = 0; chunk_id < num_chunks(); ++chunk_id) {
-    chunk_grid_.unravel(chunk_id, chunk_coords.data());
-    const auto base = chunk_base(chunk_coords);
-    const auto extents = chunk_shape_at(chunk_coords);
-    const Shape local_shape{extents};
-    const Chunk& chunk = chunks_[static_cast<std::size_t>(chunk_id)];
-    for (std::size_t i = 0; i < chunk.offsets.size(); ++i) {
-      local_shape.unravel(static_cast<std::int64_t>(chunk.offsets[i]),
-                          index.data());
-      for (int d = 0; d < ndim(); ++d) {
-        index[d] += base[d];
-      }
-      fn(index.data(), chunk.values[i]);
-    }
-  }
 }
 
 DenseArray SparseArray::to_dense() const {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -59,13 +58,24 @@ class SparseArray {
     push(index.data(), value);
   }
 
-  /// Validates per-chunk offset ordering; call once after the last push().
+  /// Replaces chunk `chunk_id`'s non-zeros with `values[i]` at chunk
+  /// offset `offsets[i]` (row-major within the chunk's clipped extents).
+  /// Throws InvalidArgument after `finalize()`, on a bad chunk id, on
+  /// mismatched sizes and on any offset >= the chunk's volume. Zero values
+  /// are dropped, as in push(); ordering and duplicates are left to
+  /// `finalize()`, which sorts a chunk that arrived out of order.
+  void assign_chunk(std::int64_t chunk_id, std::vector<Offset> offsets,
+                    std::vector<Value> values);
+
+  /// Validates per-chunk offset ordering (sorting a chunk whose cells
+  /// arrived out of order) and rejects duplicate offsets; call once after
+  /// the last push() / assign_chunk().
   void finalize();
 
   /// Invokes fn(index, value) for every non-zero, in chunk order.
   /// `index` points at ndim() global coordinates, valid during the call.
-  void for_each_nonzero(
-      const std::function<void(const std::int64_t*, Value)>& fn) const;
+  template <typename Fn>
+  void for_each_nonzero(Fn&& fn) const;
 
   /// Decompresses to a dense array (test/debug aid).
   DenseArray to_dense() const;
@@ -107,5 +117,26 @@ class SparseArray {
   std::int64_t nnz_ = 0;
   bool finalized_ = false;
 };
+
+template <typename Fn>
+void SparseArray::for_each_nonzero(Fn&& fn) const {
+  const int n = ndim();
+  std::vector<std::int64_t> chunk_coords(static_cast<std::size_t>(n), 0);
+  std::vector<std::int64_t> index(static_cast<std::size_t>(n), 0);
+  for (std::int64_t chunk_id = 0; chunk_id < num_chunks(); ++chunk_id) {
+    chunk_grid_.unravel(chunk_id, chunk_coords.data());
+    const auto base = chunk_base(chunk_coords);
+    const Shape local_shape{chunk_shape_at(chunk_coords)};
+    const Chunk& chunk = chunks_[static_cast<std::size_t>(chunk_id)];
+    for (std::size_t i = 0; i < chunk.offsets.size(); ++i) {
+      local_shape.unravel(static_cast<std::int64_t>(chunk.offsets[i]),
+                          index.data());
+      for (int d = 0; d < n; ++d) {
+        index[d] += base[d];
+      }
+      fn(static_cast<const std::int64_t*>(index.data()), chunk.values[i]);
+    }
+  }
+}
 
 }  // namespace cubist

@@ -149,11 +149,9 @@ SparseArray read_sparse(const std::string& path) {
                "header of " << path << " declares more chunks than fit in it");
   SparseArray array{Shape{extents}, chunk_extents};
 
-  // Re-inject non-zeros chunk by chunk through the public push() so every
-  // invariant is revalidated on load.
-  const int n = array.ndim();
-  std::vector<std::int64_t> chunk_coords(static_cast<std::size_t>(n));
-  std::vector<std::int64_t> index(static_cast<std::size_t>(n));
+  // Hand each chunk to the checked chunk writer, which rejects offsets
+  // outside the chunk and drops zeros; finalize() then sorts out-of-order
+  // chunks and rejects duplicates.
   for (std::int64_t c = 0; c < array.num_chunks(); ++c) {
     const auto count = read_pod<std::int64_t>(in);
     CUBIST_CHECK(count >= 0, "negative chunk count");
@@ -167,18 +165,7 @@ SparseArray read_sparse(const std::string& path) {
     std::vector<Value> values(static_cast<std::size_t>(count));
     read_raw(in, offsets.data(), offsets.size() * sizeof(SparseArray::Offset));
     read_raw(in, values.data(), values.size() * sizeof(Value));
-    array.chunk_grid().unravel(c, chunk_coords.data());
-    const auto base = array.chunk_base(chunk_coords);
-    const Shape local_shape{array.chunk_shape_at(chunk_coords)};
-    for (std::size_t i = 0; i < offsets.size(); ++i) {
-      CUBIST_CHECK(static_cast<std::int64_t>(offsets[i]) < local_shape.size(),
-                   "offset out of chunk bounds");
-      local_shape.unravel(static_cast<std::int64_t>(offsets[i]), index.data());
-      for (int d = 0; d < n; ++d) {
-        index[d] += base[d];
-      }
-      array.push(index.data(), values[i]);
-    }
+    array.assign_chunk(c, std::move(offsets), std::move(values));
   }
   array.finalize();
   return array;

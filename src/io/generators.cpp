@@ -4,7 +4,9 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "common/mathutil.h"
 #include "common/rng.h"
+#include "obs/trace.h"
 
 namespace cubist {
 namespace {
@@ -38,6 +40,24 @@ class CellRule {
     }
   }
 
+  /// True without Zipf skew. The rule is then the same for every cell: it
+  /// is populated iff populates_all() or population_hash(index) <
+  /// threshold(), and a populated cell holds hit_value(index).
+  bool uniform() const { return weights_.empty(); }
+  std::uint64_t population_hash(std::int64_t global_index) const {
+    return cell_hash(seed_, static_cast<std::uint64_t>(global_index));
+  }
+  std::uint64_t threshold() const { return threshold_of(density_); }
+  bool populates_all() const { return density_ >= 1.0; }
+
+  /// Value of a populated cell (1..9).
+  Value hit_value(std::int64_t global_index) const {
+    return static_cast<Value>(
+        1 + cell_hash(seed_ ^ kValueSalt,
+                      static_cast<std::uint64_t>(global_index)) %
+                9);
+  }
+
   /// Value of the cell at `global_index` (coordinates only needed when the
   /// Zipf skew is active); 0 means empty.
   Value value_at(const std::int64_t* coords, std::int64_t global_index) const {
@@ -49,20 +69,19 @@ class CellRule {
       }
       p = std::min(p, 1.0);
     }
-    const auto threshold = static_cast<std::uint64_t>(
-        p * 18446744073709551616.0 /* 2^64 */);
-    if (p < 1.0 &&
-        cell_hash(seed_, static_cast<std::uint64_t>(global_index)) >=
-            threshold) {
+    if (p < 1.0 && population_hash(global_index) >= threshold_of(p)) {
       return Value{0};
     }
-    return static_cast<Value>(
-        1 + cell_hash(seed_ ^ kValueSalt,
-                      static_cast<std::uint64_t>(global_index)) %
-                9);
+    return hit_value(global_index);
   }
 
  private:
+  static std::uint64_t threshold_of(double p) {
+    return p < 1.0 ? static_cast<std::uint64_t>(p * 18446744073709551616.0
+                                                 /* 2^64 */)
+                   : 0;
+  }
+
   /// Clamping min(1, p) loses mass when the skew pushes p above 1, so the
   /// raw expected density falls short of the target. Calibrate a scalar
   /// multiplier on a fixed deterministic cell sample (a pure function of
@@ -131,42 +150,81 @@ SparseArray generate_sparse_global(const SparseSpec& spec) {
 
 SparseArray generate_sparse_block(const SparseSpec& spec,
                                   const BlockRange& block) {
+  obs::Span span("io", "generate");
   const Shape global_shape{spec.sizes};
   const int n = global_shape.ndim();
   CUBIST_CHECK(block.ndim() == n, "block rank mismatch");
   const CellRule rule(spec);
+  using Offset = SparseArray::Offset;
 
   SparseArray out(block.local_shape(), chunks_or_default(spec));
-  // Walk the block in local row-major order; global linear index is the
-  // per-row base plus the inner-dimension offset (global stride 1).
-  std::vector<std::int64_t> gidx(static_cast<std::size_t>(n));
-  std::vector<std::int64_t> lidx(static_cast<std::size_t>(n), 0);
-  const std::int64_t inner_extent = block.extent(n - 1);
-  const std::int64_t rows = block.size() / inner_extent;
-  for (std::int64_t row = 0; row < rows; ++row) {
-    for (int d = 0; d < n; ++d) {
-      gidx[d] = block.lo(d) + lidx[d];
-    }
+  // Chunk-major walk: each chunk's rows in chunk-local row-major order, so
+  // offsets ascend by construction and each chunk is handed over once, in
+  // exact-size vectors. Along a row (the last dimension, global stride 1)
+  // global indices and chunk offsets both advance by one per cell.
+  std::int64_t max_volume = 1;
+  for (int d = 0; d < n; ++d) {
+    max_volume *= std::min(out.chunk_extents()[d], block.extent(d));
+  }
+  std::vector<Offset> offsets(static_cast<std::size_t>(max_volume));
+  std::vector<Value> values(static_cast<std::size_t>(max_volume));
+  const std::uint64_t threshold = rule.threshold();
+  const bool all = rule.populates_all();
+  std::vector<std::int64_t> chunk_coords(static_cast<std::size_t>(n));
+  std::vector<std::int64_t> origin(static_cast<std::size_t>(n));
+  std::vector<std::int64_t> cell(static_cast<std::size_t>(n));
+  for (std::int64_t c = 0; c < out.num_chunks(); ++c) {
+    out.chunk_grid().unravel(c, chunk_coords.data());
+    const std::vector<std::int64_t> extents = out.chunk_shape_at(chunk_coords);
+    // `origin`: global coordinates of the chunk's first cell; `cell`: of
+    // the current row's first cell, whose global linear index is
+    // `row_base + origin[n - 1]`.
     std::int64_t row_base = 0;
-    for (int d = 0; d < n - 1; ++d) {
-      row_base += gidx[d] * global_shape.stride(d);
+    for (int d = 0; d < n; ++d) {
+      origin[d] = block.lo(d) + chunk_coords[d] * out.chunk_extents()[d];
+      cell[d] = origin[d];
+      if (d < n - 1) row_base += origin[d] * global_shape.stride(d);
     }
-    for (std::int64_t i = 0; i < inner_extent; ++i) {
-      lidx[n - 1] = i;
-      gidx[n - 1] = block.lo(n - 1) + i;
-      const Value v =
-          rule.value_at(gidx.data(), row_base + gidx[n - 1]);
-      if (v != Value{0}) {
-        out.push(lidx.data(), v);
+    const std::int64_t inner = extents[n - 1];
+    const std::int64_t rows = checked_product(extents) / inner;
+    std::size_t k = 0;  // hits so far in this chunk
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const std::int64_t first = row_base + origin[n - 1];
+      const auto row_offset = static_cast<Offset>(r * inner);
+      if (rule.uniform()) {
+        // Compact hits without branching, then value only the hits.
+        const std::size_t row_start = k;
+        for (std::int64_t i = 0; i < inner; ++i) {
+          offsets[k] = row_offset + static_cast<Offset>(i);
+          k += static_cast<std::size_t>(
+              (rule.population_hash(first + i) < threshold) | all);
+        }
+        for (std::size_t j = row_start; j < k; ++j) {
+          values[j] = rule.hit_value(first + (offsets[j] - row_offset));
+        }
+      } else {
+        for (std::int64_t i = 0; i < inner; ++i) {
+          cell[n - 1] = origin[n - 1] + i;
+          const Value v = rule.value_at(cell.data(), first + i);
+          offsets[k] = row_offset + static_cast<Offset>(i);
+          values[k] = v;
+          k += static_cast<std::size_t>(v != Value{0});
+        }
+      }
+      for (int d = n - 2; d >= 0; --d) {
+        row_base += global_shape.stride(d);
+        if (++cell[d] < origin[d] + extents[d]) break;
+        cell[d] = origin[d];
+        row_base -= extents[d] * global_shape.stride(d);
       }
     }
-    lidx[n - 1] = 0;
-    for (int d = n - 2; d >= 0; --d) {
-      if (++lidx[d] < block.extent(d)) break;
-      lidx[d] = 0;
-    }
+    const auto hits = static_cast<std::ptrdiff_t>(k);
+    out.assign_chunk(
+        c, std::vector<Offset>(offsets.begin(), offsets.begin() + hits),
+        std::vector<Value>(values.begin(), values.begin() + hits));
   }
   out.finalize();
+  span.tag("nnz", out.nnz());
   return out;
 }
 
@@ -181,15 +239,44 @@ DenseArray generate_dense(const std::vector<std::int64_t>& sizes,
 
 SparseArray extract_block(const SparseArray& global, const BlockRange& block,
                           std::vector<std::int64_t> chunk_extents) {
-  CUBIST_CHECK(block.ndim() == global.ndim(), "block rank mismatch");
+  obs::Span span("io", "extract_block");
+  const int n = global.ndim();
+  CUBIST_CHECK(block.ndim() == n, "block rank mismatch");
   SparseArray out(block.local_shape(), std::move(chunk_extents));
-  std::vector<std::int64_t> local(static_cast<std::size_t>(global.ndim()));
-  global.for_each_nonzero([&](const std::int64_t* index, Value value) {
-    if (!block.contains(index)) return;
-    block.to_local(index, local.data());
-    out.push(local.data(), value);
-  });
+  // A block cut along the source's chunk boundaries, chunked the same way,
+  // is a set of whole source chunks: copy them.
+  bool aligned = out.chunk_extents() == global.chunk_extents();
+  for (int d = 0; d < n && aligned; ++d) {
+    const std::int64_t chunk = global.chunk_extents()[d];
+    aligned = block.lo(d) % chunk == 0 &&
+              (block.hi(d) % chunk == 0 ||
+               block.hi(d) == global.shape().extent(d)) &&
+              block.hi(d) <= global.shape().extent(d);
+  }
+  if (aligned) {
+    std::vector<std::int64_t> coords(static_cast<std::size_t>(n));
+    for (std::int64_t c = 0; c < out.num_chunks(); ++c) {
+      out.chunk_grid().unravel(c, coords.data());
+      for (int d = 0; d < n; ++d) {
+        coords[d] += block.lo(d) / global.chunk_extents()[d];
+      }
+      const std::int64_t source =
+          global.chunk_grid().linear_index(coords.data());
+      const auto offsets = global.chunk_offsets(source);
+      const auto values = global.chunk_values(source);
+      out.assign_chunk(c, {offsets.begin(), offsets.end()},
+                       {values.begin(), values.end()});
+    }
+  } else {
+    std::vector<std::int64_t> local(static_cast<std::size_t>(n));
+    global.for_each_nonzero([&](const std::int64_t* index, Value value) {
+      if (!block.contains(index)) return;
+      block.to_local(index, local.data());
+      out.push(local.data(), value);
+    });
+  }
   out.finalize();
+  span.tag("nnz", out.nnz()).tag("chunk_copy", std::int64_t{aligned});
   return out;
 }
 

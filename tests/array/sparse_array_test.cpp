@@ -107,6 +107,74 @@ TEST(SparseArrayTest, PushAfterFinalizeRejected) {
   EXPECT_THROW(s.push(std::vector<std::int64_t>{0}, 1.0), InvalidArgument);
 }
 
+std::vector<SparseArray::Offset> offsets_of(const SparseArray& s,
+                                            std::int64_t chunk) {
+  const auto span = s.chunk_offsets(chunk);
+  return {span.begin(), span.end()};
+}
+
+std::vector<Value> values_of(const SparseArray& s, std::int64_t chunk) {
+  const auto span = s.chunk_values(chunk);
+  return {span.begin(), span.end()};
+}
+
+TEST(SparseArrayTest, AssignChunkInstallsCellsAndCountsThem) {
+  // Chunk 5 is grid cell (2, 1): rows 8..9, cols 4..6, clipped to 2x3.
+  SparseArray s{Shape{{10, 7}}, {4, 4}};
+  s.assign_chunk(5, {0, 5}, {2.0, 3.0});
+  s.assign_chunk(0, {15}, {4.0});
+  s.finalize();
+  EXPECT_EQ(s.nnz(), 3);
+  const DenseArray dense = s.to_dense();
+  EXPECT_EQ(dense.at({8, 4}), 2.0);
+  EXPECT_EQ(dense.at({9, 6}), 3.0);
+  EXPECT_EQ(dense.at({3, 3}), 4.0);
+}
+
+TEST(SparseArrayTest, AssignChunkReplacesDropsZerosAndLeavesSortingToFinalize) {
+  SparseArray s{Shape{{8}}, {8}};
+  s.assign_chunk(0, {1, 2}, {1.0, 2.0});
+  s.assign_chunk(0, {6, 0, 3, 4}, {6.0, 0.0, 3.0, 4.0});
+  EXPECT_EQ(s.nnz(), 3);
+  s.finalize();
+  EXPECT_EQ(offsets_of(s, 0), (std::vector<SparseArray::Offset>{3, 4, 6}));
+  EXPECT_EQ(values_of(s, 0), (std::vector<Value>{3.0, 4.0, 6.0}));
+}
+
+TEST(SparseArrayTest, AssignChunkRejectsOffsetBeyondClippedVolume) {
+  SparseArray s{Shape{{10, 7}}, {4, 4}};
+  // Boundary chunk 5 holds 2x3 = 6 cells: offset 6 is out, though a full
+  // 4x4 chunk would hold it.
+  EXPECT_THROW(s.assign_chunk(5, {6}, {1.0}), InvalidArgument);
+  EXPECT_THROW(s.assign_chunk(0, {16}, {1.0}), InvalidArgument);
+  EXPECT_EQ(s.nnz(), 0);
+  s.assign_chunk(5, {5}, {1.0});
+  EXPECT_EQ(s.nnz(), 1);
+}
+
+TEST(SparseArrayTest, AssignChunkRejectsMismatchedSizesAndBadChunkIds) {
+  SparseArray s{Shape{{10, 7}}, {4, 4}};
+  EXPECT_THROW(s.assign_chunk(0, {1, 2}, {1.0}), InvalidArgument);
+  EXPECT_THROW(s.assign_chunk(6, {0}, {1.0}), InvalidArgument);
+  EXPECT_THROW(s.assign_chunk(-1, {0}, {1.0}), InvalidArgument);
+  EXPECT_EQ(s.nnz(), 0);
+}
+
+TEST(SparseArrayTest, AssignChunkAfterFinalizeRejected) {
+  SparseArray s{Shape{{8}}, {8}};
+  s.finalize();
+  EXPECT_THROW(s.assign_chunk(0, {0}, {1.0}), InvalidArgument);
+}
+
+TEST(SparseArrayTest, AssignChunkDuplicateCaughtByFinalize) {
+  SparseArray sorted{Shape{{8}}, {8}};
+  sorted.assign_chunk(0, {2, 2}, {1.0, 2.0});
+  EXPECT_THROW(sorted.finalize(), InvalidArgument);
+  SparseArray unsorted{Shape{{8}}, {8}};
+  unsorted.assign_chunk(0, {5, 1, 5}, {1.0, 2.0, 3.0});
+  EXPECT_THROW(unsorted.finalize(), InvalidArgument);
+}
+
 TEST(SparseArrayTest, HugeChunkVolumeRejected) {
   EXPECT_THROW(SparseArray(Shape{{std::int64_t{1} << 20, std::int64_t{1} << 20}},
                            {std::int64_t{1} << 20, std::int64_t{1} << 20}),

@@ -154,6 +154,43 @@ TEST_F(ArrayIoTest, HostileSparseChunkGridRejectedBeforeAllocating) {
   EXPECT_THROW(read_sparse(file), InvalidArgument);
 }
 
+/// A 4x4 sparse file with one 4x4 chunk holding `offsets`/`values`.
+std::string one_chunk_file(const std::vector<std::uint32_t>& offsets,
+                           const std::vector<double>& values) {
+  std::string bytes = header("CBSP", {4, 4});
+  put(bytes, std::int64_t{4});  // chunk extents
+  put(bytes, std::int64_t{4});
+  put(bytes, static_cast<std::int64_t>(offsets.size()));
+  for (const std::uint32_t offset : offsets) put(bytes, offset);
+  for (const double value : values) put(bytes, value);
+  return bytes;
+}
+
+TEST_F(ArrayIoTest, HostileSparseOffsetOutsideChunkRejected) {
+  const std::string file = track(path("hostile_offset.bin"));
+  write_bytes(file, one_chunk_file({3, 16}, {1.0, 2.0}));
+  EXPECT_THROW(read_sparse(file), InvalidArgument);
+}
+
+TEST_F(ArrayIoTest, HostileSparseDuplicateOffsetRejected) {
+  const std::string file = track(path("hostile_duplicate.bin"));
+  write_bytes(file, one_chunk_file({5, 2, 5}, {1.0, 2.0, 3.0}));
+  EXPECT_THROW(read_sparse(file), InvalidArgument);
+}
+
+TEST_F(ArrayIoTest, UnsortedSparseChunkIsSortedAndZerosDropped) {
+  const std::string file = track(path("unsorted.bin"));
+  write_bytes(file, one_chunk_file({9, 0, 4, 7}, {9.0, 1.0, 0.0, 7.0}));
+  const SparseArray loaded = read_sparse(file);
+  EXPECT_EQ(loaded.nnz(), 3);
+  const auto offsets = loaded.chunk_offsets(0);
+  const auto values = loaded.chunk_values(0);
+  EXPECT_EQ(std::vector<std::uint32_t>(offsets.begin(), offsets.end()),
+            (std::vector<std::uint32_t>{0, 7, 9}));
+  EXPECT_EQ(std::vector<double>(values.begin(), values.end()),
+            (std::vector<double>{1.0, 7.0, 9.0}));
+}
+
 TEST_F(ArrayIoTest, MissingFileRejected) {
   EXPECT_THROW(read_dense(path("does_not_exist.bin")), InvalidArgument);
 }
