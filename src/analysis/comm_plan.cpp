@@ -10,8 +10,10 @@ namespace cubist {
 namespace {
 
 /// Symbolically executes one rank's Figure-5 program (the control flow of
-/// RankBuilder in core/parallel_builder.cpp), emitting planned operations
-/// instead of touching data. Any drift between this walk and the real
+/// build_cube_parallel_rank, the parallel client of the tree executor in
+/// core/tree_executor.h), emitting planned operations instead of touching
+/// data. It is a separate walk on purpose: the independent model the
+/// verifier checks against. Any drift between this walk and the real
 /// builder shows up as a ledger-audit failure, which is the point: the
 /// plan is the checkable artifact, the builder is the implementation.
 class RankPlanner {

@@ -1,150 +1,35 @@
 #include "baselines/tree_builder.h"
 
-#include <map>
-#include <vector>
-
-#include "array/aggregate.h"
 #include "common/error.h"
-#include "lattice/memory_sim.h"
 
 namespace cubist {
 namespace {
 
-/// Positions (within the parent's ascending dimension list) of the child's
-/// retained dimensions.
-std::vector<int> kept_positions(DimSet parent, DimSet child) {
-  CUBIST_CHECK(child.is_subset_of(parent), "child must be a subset");
-  const std::vector<int> parent_dims = parent.dims();
-  std::vector<int> kept;
-  for (int pos = 0; pos < static_cast<int>(parent_dims.size()); ++pos) {
-    if (child.contains(parent_dims[pos])) kept.push_back(pos);
+template <typename Root>
+CubeResult build(const Root& root, const SpanningTree& tree,
+                 ScanDiscipline discipline, BuildStats* stats) {
+  CubeResult result(root.shape().extents());
+  for (auto& [mask, view] :
+       execute_tree(tree, root, discipline, AggregateOptions{}, {}, stats)) {
+    result.put(DimSet::from_mask(mask), std::move(view));
   }
-  return kept;
+  CUBIST_ASSERT(result.num_views() + 1 == (std::size_t{1} << root.ndim()),
+                "cube incomplete");
+  return result;
 }
-
-class TreeBuilder {
- public:
-  TreeBuilder(std::vector<std::int64_t> sizes, const SpanningTree& tree,
-              ScanDiscipline discipline)
-      : sizes_(std::move(sizes)),
-        n_(static_cast<int>(sizes_.size())),
-        tree_(tree),
-        discipline_(discipline),
-        result_(sizes_) {}
-
-  template <typename Root>
-  CubeResult run(const Root& root, BuildStats* stats) {
-    evaluate_root(root);
-    CUBIST_ASSERT(live_.empty(), "views left unwritten");
-    CUBIST_ASSERT(result_.num_views() + 1 == (std::size_t{1} << n_),
-                  "cube incomplete");
-    if (stats != nullptr) {
-      stats_.peak_live_bytes = ledger_.peak_bytes();
-      *stats = stats_;
-    }
-    return std::move(result_);
-  }
-
- private:
-  Shape view_shape(DimSet view) const {
-    std::vector<std::int64_t> extents;
-    for (int d : view.dims()) extents.push_back(sizes_[d]);
-    return Shape{extents};
-  }
-
-  DenseArray& allocate(DimSet view) {
-    auto [it, inserted] = live_.try_emplace(view.mask(),
-                                            DenseArray(view_shape(view)));
-    CUBIST_ASSERT(inserted, "view already live");
-    ledger_.alloc(it->second.bytes());
-    return it->second;
-  }
-
-  void track(const AggregationStats& scan) {
-    stats_.cells_scanned += scan.cells_scanned;
-    stats_.updates += scan.updates;
-  }
-
-  /// Children of `view`, processed in ascending-mask order. For the
-  /// aggregation tree this IS Figure 3's right-to-left walk: the child
-  /// dropping the largest eligible dimension has the smallest mask, so
-  /// ascending masks evaluate the leaf-heavy right side first and the
-  /// Theorem-1 memory profile is reproduced exactly.
-  template <typename Parent>
-  void process_children(DimSet view, const Parent& parent_array) {
-    const std::vector<DimSet> kids = tree_.children(view);
-    if (kids.empty()) return;
-
-    if (discipline_ == ScanDiscipline::kMultiWay) {
-      const std::vector<int> view_dims = view.dims();
-      std::vector<AggregationTarget> targets;
-      for (DimSet child : kids) {
-        CUBIST_CHECK(child.size() + 1 == view.size(),
-                     "multi-way discipline requires single-dimension edges");
-        const int aggregated = view.minus(child).min_dim();
-        int pos = 0;
-        while (view_dims[pos] != aggregated) ++pos;
-        targets.push_back(AggregationTarget{pos, &allocate(child)});
-      }
-      track(aggregate_children(parent_array, targets));
-      for (DimSet child : kids) {
-        evaluate(child);
-      }
-    } else {
-      for (DimSet child : kids) {
-        track(project(parent_array, kept_positions(view, child),
-                      &allocate(child)));
-        evaluate(child);
-      }
-    }
-  }
-
-  /// `view` is live (computed); produce its subtree, then write it back.
-  void evaluate(DimSet view) {
-    process_children(view, live_.at(view.mask()));
-    write_back(view);
-  }
-
-  template <typename Root>
-  void evaluate_root(const Root& root) {
-    process_children(DimSet::full(n_), root);
-  }
-
-  void write_back(DimSet view) {
-    auto it = live_.find(view.mask());
-    CUBIST_ASSERT(it != live_.end(), "write-back of non-live view");
-    ledger_.release(it->second.bytes());
-    stats_.written_bytes += it->second.bytes();
-    result_.put(view, std::move(it->second));
-    live_.erase(it);
-  }
-
-  std::vector<std::int64_t> sizes_;
-  int n_;
-  const SpanningTree& tree_;
-  ScanDiscipline discipline_;
-  CubeResult result_;
-  std::map<std::uint32_t, DenseArray> live_;
-  MemoryLedger ledger_;
-  BuildStats stats_;
-};
 
 }  // namespace
 
 CubeResult build_cube_with_tree(const DenseArray& root,
                                 const SpanningTree& tree,
                                 ScanDiscipline discipline, BuildStats* stats) {
-  CUBIST_CHECK(tree.ndims() == root.ndim(), "tree rank mismatch");
-  TreeBuilder builder(root.shape().extents(), tree, discipline);
-  return builder.run(root, stats);
+  return build(root, tree, discipline, stats);
 }
 
 CubeResult build_cube_with_tree(const SparseArray& root,
                                 const SpanningTree& tree,
                                 ScanDiscipline discipline, BuildStats* stats) {
-  CUBIST_CHECK(tree.ndims() == root.ndim(), "tree rank mismatch");
-  TreeBuilder builder(root.shape().extents(), tree, discipline);
-  return builder.run(root, stats);
+  return build(root, tree, discipline, stats);
 }
 
 }  // namespace cubist

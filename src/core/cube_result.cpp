@@ -4,6 +4,28 @@
 
 namespace cubist {
 
+Shape view_shape(const std::vector<std::int64_t>& sizes, DimSet view) {
+  CUBIST_CHECK(view.is_subset_of(DimSet::full(static_cast<int>(sizes.size()))),
+               "view " << view.to_string() << " out of lattice");
+  std::vector<std::int64_t> extents;
+  for (int d : view.dims()) {
+    extents.push_back(sizes[static_cast<std::size_t>(d)]);
+  }
+  return Shape{std::move(extents)};
+}
+
+std::vector<int> kept_positions(DimSet parent, DimSet child) {
+  CUBIST_CHECK(child.is_subset_of(parent),
+               "view " << child.to_string() << " is not a subset of "
+                       << parent.to_string());
+  const std::vector<int> parent_dims = parent.dims();
+  std::vector<int> kept;
+  for (int pos = 0; pos < static_cast<int>(parent_dims.size()); ++pos) {
+    if (child.contains(parent_dims[pos])) kept.push_back(pos);
+  }
+  return kept;
+}
+
 CubeResult::CubeResult(std::vector<std::int64_t> sizes)
     : sizes_(std::move(sizes)) {
   CUBIST_CHECK(!sizes_.empty() && sizes_.size() <= kMaxDims,
@@ -11,13 +33,7 @@ CubeResult::CubeResult(std::vector<std::int64_t> sizes)
 }
 
 void CubeResult::put(DimSet view, DenseArray array) {
-  CUBIST_CHECK(view.is_subset_of(DimSet::full(ndims())),
-               "view out of lattice");
-  std::vector<std::int64_t> expected;
-  for (int d : view.dims()) {
-    expected.push_back(sizes_[d]);
-  }
-  CUBIST_CHECK(array.shape().extents() == expected,
+  CUBIST_CHECK(array.shape() == view_shape(sizes_, view),
                "array shape does not match view " << view.to_string());
   views_.insert_or_assign(view.mask(), std::move(array));
 }

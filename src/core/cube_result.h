@@ -11,6 +11,15 @@
 
 namespace cubist {
 
+/// Shape of `view` in a cube of extents `sizes`: the retained extents in
+/// ascending dimension order. Checks that `view` lies in the lattice.
+Shape view_shape(const std::vector<std::int64_t>& sizes, DimSet view);
+
+/// Positions, within `parent`'s ascending dimension list, of `child`'s
+/// dimensions (the kept-position list of `project`). Checks that `child`
+/// is a subset of `parent`.
+std::vector<int> kept_positions(DimSet parent, DimSet child);
+
 class CubeResult {
  public:
   /// `sizes` are the full-cube extents; views added later must have

@@ -8,9 +8,10 @@
 // the computation — is thus fully parallel, while deeper levels run on the
 // shrinking lead sets, exactly as the paper describes.
 //
-// Every reduction is tagged with the target view's mask, so the runtime
-// ledger yields measured communication volume per view — directly
-// comparable with Lemma 1 / Theorem 3.
+// The walk is core/tree_executor.h's: its `keep` hook runs the reduction
+// and keeps the child on the lead only. Every reduction is tagged with the
+// target view's mask, so the runtime ledger yields measured communication
+// volume per view — directly comparable with Lemma 1 / Theorem 3.
 #pragma once
 
 #include <cstdint>
@@ -90,17 +91,10 @@ struct ParallelOptions {
   bool audit_hb = false;
 };
 
-/// Per-rank accounting of one parallel construction.
-struct ParallelBuildStats {
-  /// High-water mark of live computed view blocks on this rank (bytes).
-  std::int64_t peak_live_bytes = 0;
-  /// Bytes of final view blocks written back on this rank.
-  std::int64_t written_bytes = 0;
-  std::int64_t cells_scanned = 0;
-  std::int64_t updates = 0;
-  /// Transient scan scratch bytes: always 0. The owner-computes kernels
-  /// write every child cell in place; kept for existing readers.
-  std::int64_t peak_scratch_bytes = 0;
+/// Per-rank accounting of one parallel construction. The BuildStats part
+/// covers this rank's blocks: live high-water, bytes of the final blocks it
+/// writes back as lead, and its local scan work.
+struct ParallelBuildStats : BuildStats {
   /// Dense-equivalent bytes this rank sent during construction — the
   /// paper's communication-volume measure for this rank.
   std::int64_t logical_bytes_sent = 0;

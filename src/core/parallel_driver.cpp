@@ -145,11 +145,7 @@ ParallelCubeReport run_parallel_cube(const std::vector<std::int64_t>& sizes,
       const DimSet aggregated = view.complement(n);
       const std::uint64_t tag = kGatherTagBase | mask;
       if (rank == 0) {
-        DenseArray global_view{[&] {
-          std::vector<std::int64_t> extents;
-          for (int d : view.dims()) extents.push_back(sizes[d]);
-          return Shape{extents};
-        }()};
+        DenseArray global_view{view_shape(sizes, view)};
         for (int src = 0; src < p; ++src) {
           if (!grid.is_lead_for(src, aggregated)) continue;
           const BlockRange block = grid.block(src, sizes);

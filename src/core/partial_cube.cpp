@@ -18,16 +18,6 @@ std::int64_t view_cells(const std::vector<std::int64_t>& sizes, DimSet view) {
   return cells;
 }
 
-/// Positions of `child`'s dimensions within `parent`'s dimension list.
-std::vector<int> kept_positions(DimSet parent, DimSet child) {
-  const std::vector<int> parent_dims = parent.dims();
-  std::vector<int> kept;
-  for (int pos = 0; pos < static_cast<int>(parent_dims.size()); ++pos) {
-    if (child.contains(parent_dims[pos])) kept.push_back(pos);
-  }
-  return kept;
-}
-
 }  // namespace
 
 PartialCube PartialCube::build(std::shared_ptr<const SparseArray> input,
@@ -39,6 +29,12 @@ PartialCube PartialCube::build(std::shared_ptr<const SparseArray> input,
   PartialCube cube(std::move(input), sizes);
   BuildStats totals;
 
+  // Validate before sizing: the size order reads `sizes` at every
+  // dimension of every view.
+  for (DimSet view : views) {
+    CUBIST_CHECK(view != root, "the root is the input; do not select it");
+    CUBIST_CHECK(view.is_subset_of(root), "view out of lattice");
+  }
   // Deduplicate and order by descending size so ancestors exist first.
   std::sort(views.begin(), views.end());
   views.erase(std::unique(views.begin(), views.end()), views.end());
@@ -50,13 +46,7 @@ PartialCube PartialCube::build(std::shared_ptr<const SparseArray> input,
   });
 
   for (DimSet view : views) {
-    CUBIST_CHECK(view != root, "the root is the input; do not select it");
-    CUBIST_CHECK(view.is_subset_of(root), "view out of lattice");
-    std::vector<std::int64_t> extents;
-    for (int d : view.dims()) {
-      extents.push_back(sizes[d]);
-    }
-    DenseArray array{Shape{extents}};
+    DenseArray array{view_shape(sizes, view)};
     // Smallest already-materialized strict superset, else the input.
     std::optional<DimSet> parent;
     for (const auto& [mask, built] : cube.views_) {
@@ -223,12 +213,7 @@ DenseArray PartialCube::materialize_from(std::optional<DimSet> from,
                                          DimSet view,
                                          std::int64_t* cells_scanned) const {
   const DimSet root = DimSet::full(ndims());
-  CUBIST_CHECK(view.is_subset_of(root), "view out of lattice");
-  std::vector<std::int64_t> extents;
-  for (int d : view.dims()) {
-    extents.push_back(sizes_[d]);
-  }
-  DenseArray out{Shape{extents}};
+  DenseArray out{view_shape(sizes_, view)};
   AggregationStats scan;
   if (from) {
     CUBIST_CHECK(view.is_subset_of(*from),

@@ -2,38 +2,22 @@
 //
 // Evaluate(l): one scan of l produces ALL of l's children simultaneously;
 // children are then visited right to left, leaves written back immediately,
-// internal nodes recursed into; l itself is written back last. The only
-// traffic is reading the input once and writing each computed view once,
-// and the live intermediate results never exceed the Theorem-1 bound
-// (sum of the first-level view sizes) — both properties are asserted by
-// the test suite against the stats reported here.
+// internal nodes recursed into; l itself is written back last. The walk is
+// core/tree_executor.h's, with no hooks. The only traffic is reading the
+// input once and writing each computed view once, and the live
+// intermediate results never exceed the Theorem-1 bound (sum of the
+// first-level view sizes) — both properties are asserted by the test suite
+// against the stats reported here.
 #pragma once
-
-#include <cstdint>
 
 #include "array/aggregate.h"
 #include "array/aggregate_op.h"
 #include "array/dense_array.h"
 #include "array/sparse_array.h"
 #include "core/cube_result.h"
+#include "core/tree_executor.h"
 
 namespace cubist {
-
-/// Work and memory accounting of one construction run.
-struct BuildStats {
-  /// High-water mark of live computed views, in bytes (input excluded —
-  /// the quantity bounded by Theorems 1 and 4).
-  std::int64_t peak_live_bytes = 0;
-  /// Total bytes written back (every proper view exactly once).
-  std::int64_t written_bytes = 0;
-  /// Input/intermediate cells scanned across all evaluation steps.
-  std::int64_t cells_scanned = 0;
-  /// Aggregation updates performed.
-  std::int64_t updates = 0;
-  /// Transient scan scratch bytes: always 0. The owner-computes kernels
-  /// write every child cell in place; kept for existing readers.
-  std::int64_t peak_scratch_bytes = 0;
-};
 
 /// Builds the full cube from a dense root array. The result holds every
 /// proper view (the root view is the input itself and is not duplicated).

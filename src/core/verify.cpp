@@ -14,11 +14,7 @@ CubeResult reference_cube_impl(const Root& root) {
   CubeResult result(root.shape().extents());
   for (std::uint32_t mask = 0; mask + 1 < (std::uint32_t{1} << n); ++mask) {
     const DimSet view = DimSet::from_mask(mask);
-    std::vector<std::int64_t> extents;
-    for (int d : view.dims()) {
-      extents.push_back(root.shape().extent(d));
-    }
-    DenseArray array{Shape{extents}};
+    DenseArray array{view_shape(root.shape().extents(), view)};
     // In the root, dimension id == position, so view.dims() doubles as the
     // kept-position list.
     project(root, view.dims(), &array);

@@ -61,8 +61,9 @@ class AggregationTree {
 
   /// The Figure-3 execution order: Evaluate(root) emits kComputeChildren
   /// for each internal node and kWriteBack for every non-root view, with
-  /// children recursed right to left. This sequence drives both the real
-  /// builders and the memory simulator.
+  /// children recursed right to left. This sequence drives the memory
+  /// simulator; the builders walk SpanningTree::aggregation(n) in the
+  /// same order (core/tree_executor.h).
   std::vector<ScheduleEvent> schedule() const;
 
   /// All 2^n views in the order they are completed (write-back order).

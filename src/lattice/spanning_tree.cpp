@@ -6,9 +6,13 @@
 namespace cubist {
 
 SpanningTree::SpanningTree(int n, std::vector<DimSet> parents)
-    : n_(n), parents_(std::move(parents)) {
+    : n_(n), parents_(std::move(parents)), children_(parents_.size()) {
   CUBIST_ASSERT(parents_.size() == (std::size_t{1} << n_),
                 "parent table must cover the whole lattice");
+  for (std::uint32_t mask = 0; mask < parents_.size(); ++mask) {
+    const DimSet view = DimSet::from_mask(mask);
+    if (view != root()) children_[parents_[mask].mask()].push_back(view);
+  }
 }
 
 SpanningTree SpanningTree::aggregation(int n) {
@@ -79,15 +83,9 @@ DimSet SpanningTree::parent(DimSet view) const {
   return parents_[view.mask()];
 }
 
-std::vector<DimSet> SpanningTree::children(DimSet view) const {
-  std::vector<DimSet> out;
-  for (std::uint32_t mask = 0; mask < parents_.size(); ++mask) {
-    const DimSet candidate = DimSet::from_mask(mask);
-    if (candidate != root() && parents_[mask] == view) {
-      out.push_back(candidate);
-    }
-  }
-  return out;
+const std::vector<DimSet>& SpanningTree::children(DimSet view) const {
+  CUBIST_CHECK(view.is_subset_of(root()), "view out of lattice");
+  return children_[view.mask()];
 }
 
 bool SpanningTree::uses_minimal_parents(const CubeLattice& lattice) const {

@@ -45,8 +45,11 @@ class SpanningTree {
   /// Parent of `view` (a strict superset). Precondition: view != root.
   DimSet parent(DimSet view) const;
 
-  /// Views whose parent is `view`, ordered by ascending mask.
-  std::vector<DimSet> children(DimSet view) const;
+  /// Views whose parent is `view`, ordered by ascending mask. For
+  /// aggregation(n) that is Figure 3's right-to-left child order (the
+  /// reverse of AggregationTree::children), which the cube builders'
+  /// executor walks to meet the Theorem-1 memory bound.
+  const std::vector<DimSet>& children(DimSet view) const;
 
   /// True if every non-root view's parent is its minimal parent
   /// (the Theorem-7 property).
@@ -66,6 +69,8 @@ class SpanningTree {
   int n_;
   /// parent_[mask] for every non-root view; parent_[root] = root.
   std::vector<DimSet> parents_;
+  /// children_[mask]: the views whose parent is `mask`, ascending.
+  std::vector<std::vector<DimSet>> children_;
 };
 
 }  // namespace cubist

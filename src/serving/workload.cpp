@@ -61,14 +61,6 @@ void enumerate_view(const Shape& shape, DimSet view,
   }
 }
 
-Shape view_shape(const std::vector<std::int64_t>& sizes, DimSet view) {
-  std::vector<std::int64_t> extents;
-  for (int d : view.dims()) {
-    extents.push_back(sizes[static_cast<std::size_t>(d)]);
-  }
-  return Shape{extents};
-}
-
 }  // namespace
 
 WorkloadGenerator::WorkloadGenerator(const CubeResult& cube, WorkloadSpec spec)

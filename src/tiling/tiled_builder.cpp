@@ -101,9 +101,7 @@ CubeResult build_cube_tiled(const SparseArray& root, const TilingPlan& plan,
         // Dimension 0 is the slowest-varying dimension of the view, so the
         // slab's portion is one contiguous stretch of the full array.
         if (!result.has(view)) {
-          std::vector<std::int64_t> extents;
-          for (int d : view.dims()) extents.push_back(sizes[d]);
-          result.put(view, DenseArray{Shape{extents}});
+          result.put(view, DenseArray{view_shape(sizes, view)});
         }
         DenseArray& full = result.mutable_view(view);
         const std::int64_t offset = lo * full.shape().stride(0);

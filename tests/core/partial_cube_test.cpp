@@ -117,6 +117,15 @@ TEST(PartialCubeTest, SelectingRootRejected) {
   EXPECT_THROW(PartialCube::build(input, {DimSet::full(3)}), InvalidArgument);
 }
 
+TEST(PartialCubeTest, OutOfLatticeViewRejectedBeforeSizing) {
+  // Ordering the selection by size reads every view's extents, so a view
+  // outside the lattice must be rejected before the sort, not after.
+  const SparseArray input = make_input();
+  EXPECT_THROW(PartialCube::build(input, {DimSet::of({0}), DimSet::of({1}),
+                                          DimSet::of({20})}),
+               InvalidArgument);
+}
+
 TEST(PartialCubeTest, UnmaterializedDirectAccessThrows) {
   const SparseArray input = make_input();
   PartialCube cube = PartialCube::build(input, {DimSet::of({0})});

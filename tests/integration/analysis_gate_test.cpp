@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "cubist/cubist.h"
 
@@ -120,6 +121,49 @@ TEST(AnalysisGateTest, StandaloneVerifierCertifiesDriverSchedule) {
   EXPECT_EQ(report.planned_total_elements, report.predicted_total_elements);
   EXPECT_LE(report.max_peak_live_bytes, report.memory_bound_bytes);
   EXPECT_GT(report.planned_messages, 0);
+}
+
+TEST(AnalysisGateTest, RankStatsEqualTheStaticPlan) {
+  // The executor allocates and releases view blocks in the plan's exact
+  // order: replaying a rank's planned memory events through a ledger gives
+  // its measured peak, and its planned final views are exactly the bytes
+  // it writes back. Uneven extents give every rank its own block sizes.
+  SparseSpec spec;
+  spec.sizes = {9, 7, 6, 5};
+  spec.density = 0.3;
+  spec.seed = 31;
+  for (const std::vector<int>& log_splits :
+       {std::vector<int>{0, 0, 0, 0}, {1, 0, 0, 0}, {0, 1, 1, 0},
+        {1, 1, 0, 0}, {2, 1, 0, 0}, {1, 1, 1, 0}, {1, 1, 1, 1}}) {
+    const auto report =
+        run_parallel_cube(spec.sizes, log_splits, CostModel{},
+                          provider_of(spec), /*collect_result=*/false);
+    ScheduleSpec sched;
+    sched.sizes = spec.sizes;
+    sched.log_splits = log_splits;
+    const CommPlan plan = build_comm_plan(sched);
+    ASSERT_EQ(report.rank_stats.size(), plan.ranks.size());
+    for (std::size_t r = 0; r < plan.ranks.size(); ++r) {
+      MemoryLedger ledger;
+      std::map<std::uint32_t, std::int64_t> bytes_of;
+      for (const PlannedMemoryEvent& event : plan.ranks[r].memory) {
+        if (event.kind == PlannedMemoryEvent::Kind::kAlloc) {
+          ledger.alloc(event.bytes);
+          bytes_of[event.view] = event.bytes;
+        } else {
+          ledger.release(event.bytes);
+        }
+      }
+      std::int64_t final_bytes = 0;
+      for (std::uint32_t view : plan.ranks[r].final_views) {
+        final_bytes += bytes_of.at(view);
+      }
+      EXPECT_EQ(report.rank_stats[r].peak_live_bytes, ledger.peak_bytes())
+          << "grid " << ::testing::PrintToString(log_splits) << " rank " << r;
+      EXPECT_EQ(report.rank_stats[r].written_bytes, final_bytes)
+          << "grid " << ::testing::PrintToString(log_splits) << " rank " << r;
+    }
+  }
 }
 
 TEST(AnalysisGateTest, MeasuredScratchStaysUnderTheStaticBound) {

@@ -2,18 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "lattice/aggregation_tree.h"
 
 namespace cubist {
 namespace {
 
 TEST(SpanningTreeTest, AggregationTreeRoundTrip) {
-  const int n = 4;
-  const SpanningTree tree = SpanningTree::aggregation(n);
-  const AggregationTree reference(n);
-  for (std::uint32_t mask = 0; mask + 1 < (1u << n); ++mask) {
-    const DimSet view = DimSet::from_mask(mask);
-    EXPECT_EQ(tree.parent(view), reference.parent(view));
+  for (int n = 1; n <= 8; ++n) {
+    const SpanningTree tree = SpanningTree::aggregation(n);
+    const AggregationTree reference(n);
+    for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+      const DimSet view = DimSet::from_mask(mask);
+      if (view != reference.root()) {
+        EXPECT_EQ(tree.parent(view), reference.parent(view));
+      }
+      // Ascending masks are Figure 3's right-to-left order: the executor
+      // walks children in this order to meet the Theorem-1 bound.
+      std::vector<DimSet> right_to_left = reference.children(view);
+      std::reverse(right_to_left.begin(), right_to_left.end());
+      EXPECT_EQ(tree.children(view), right_to_left)
+          << "n " << n << " view " << view.to_string();
+    }
   }
 }
 
