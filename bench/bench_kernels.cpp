@@ -2,11 +2,12 @@
 // throughput (google-benchmark's bread and butter, no virtual clock).
 //
 // Covers: dense multi-way aggregation vs number of simultaneous targets,
-// sparse chunk-offset aggregation vs chunk extent and density, the
-// operator-generic scan under each aggregate operator, the concurrent
-// single-thread root scans of a 4-rank build, the generic projection
-// kernel, the hash-sparse generator, and the input path of the `build`
-// workload (96^4 generation and its four-block partition).
+// sparse chunk-offset aggregation vs chunk extent and density and on the
+// 6-D serving input, the operator-generic scan under each aggregate
+// operator, the concurrent single-thread root scans of a 4-rank build, the
+// dense and sparse projection kernels, the hash-sparse generator, and the
+// input path of the `build` workload (96^4 generation and its four-block
+// partition).
 #include <thread>
 
 #include "bench_util.h"
@@ -132,6 +133,48 @@ BENCHMARK(BM_SparseMultiwayDensity)
     ->Arg(25)
     ->Unit(benchmark::kMillisecond);
 
+/// The `build` workload's input: 96^4 at 10% density, default 16^4 chunks.
+SparseSpec build_input_spec() {
+  SparseSpec spec;
+  spec.sizes = {96, 96, 96, 96};
+  spec.density = 0.10;
+  spec.seed = 17;
+  return spec;
+}
+
+/// The serving workloads' input: 32x24x16x12x10x8 at 10% density,
+/// default chunks (16x16x16x12x10x8; dimension 1 has a clipped last chunk).
+SparseSpec serving_input_spec() {
+  SparseSpec spec;
+  spec.sizes = {32, 24, 16, 12, 10, 8};
+  spec.density = 0.10;
+  spec.seed = 19;
+  return spec;
+}
+
+/// The 6-D root scan: one pass over the serving input producing all six
+/// first-level views, as the root scan of a 6-D cube build does.
+void BM_SparseMultiway6D(benchmark::State& state) {
+  const SparseArray parent = generate_sparse_global(serving_input_spec());
+  std::vector<DenseArray> children;
+  for (int pos = 0; pos < 6; ++pos) {
+    children.emplace_back(parent.shape().without_dim(pos));
+  }
+  std::vector<AggregationTarget> targets;
+  for (int pos = 0; pos < 6; ++pos) {
+    targets.push_back({pos, &children[static_cast<std::size_t>(pos)]});
+  }
+  for (auto _ : state) {
+    const AggregationStats stats = aggregate_children(parent, targets);
+    benchmark::DoNotOptimize(stats);
+    benchmark::DoNotOptimize(children.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * parent.nnz() * 6);
+  state.counters["nnz"] = static_cast<double>(parent.nnz());
+}
+BENCHMARK(BM_SparseMultiway6D)->Unit(benchmark::kMillisecond);
+
 /// One input-level scan producing all four children of a 32x32x32x16
 /// parent under `op`, as a cube build's root scan does: the dense input of
 /// BM_DenseMultiway/4/4, or the same shape at 10% density, sparse (default
@@ -236,6 +279,33 @@ void BM_Projection(benchmark::State& state) {
 }
 BENCHMARK(BM_Projection)->Unit(benchmark::kMillisecond);
 
+/// Sparse project() from an input to one first-level view (dimension 0
+/// dropped), as PartialCube::build and the serving miss path do for views
+/// routed to the input. Arg: 4 => the 96^4 `build` input, 6 => the 6-D
+/// serving input.
+void BM_ProjectSparse(benchmark::State& state) {
+  static std::map<std::int64_t, SparseArray> cache;
+  auto it = cache.find(state.range(0));
+  if (it == cache.end()) {
+    const SparseSpec spec =
+        state.range(0) == 4 ? build_input_spec() : serving_input_spec();
+    it = cache.emplace(state.range(0), generate_sparse_global(spec)).first;
+  }
+  const SparseArray& parent = it->second;
+  std::vector<int> kept;
+  for (int d = 1; d < parent.ndim(); ++d) kept.push_back(d);
+  DenseArray out{parent.shape().without_dim(0)};
+  for (auto _ : state) {
+    const AggregationStats stats = project(parent, kept, &out);
+    benchmark::DoNotOptimize(stats);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * parent.nnz());
+  state.counters["nnz"] = static_cast<double>(parent.nnz());
+}
+BENCHMARK(BM_ProjectSparse)->Arg(4)->Arg(6)->Unit(benchmark::kMillisecond);
+
 void BM_Generator(benchmark::State& state) {
   SparseSpec spec;
   spec.sizes = {64, 64, 64};
@@ -248,15 +318,6 @@ void BM_Generator(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64 * 64 * 64);
 }
 BENCHMARK(BM_Generator)->Arg(5)->Arg(25)->Unit(benchmark::kMillisecond);
-
-/// The `build` workload's input: 96^4 at 10% density, default 16^4 chunks.
-SparseSpec build_input_spec() {
-  SparseSpec spec;
-  spec.sizes = {96, 96, 96, 96};
-  spec.density = 0.10;
-  spec.seed = 17;
-  return spec;
-}
 
 void BM_GenerateSparse(benchmark::State& state) {
   const SparseSpec spec = build_input_spec();

@@ -1,6 +1,7 @@
 #include "array/aggregate.h"
 
 #include <algorithm>
+#include <array>
 #include <type_traits>
 #include <vector>
 
@@ -69,15 +70,14 @@ AggregationStats dispatch_op(AggregateOp op, const Scan& scan) {
 
 /// One target as the unit scans see it. Built once per scan; the passes
 /// hand subsets of these to their tasks, so per-target tables are shared
-/// by pointer, never copied.
+/// by pointer or index, never copied.
 struct KernelTarget {
   /// The child array's cells.
   Value* base = nullptr;
   /// Child stride per parent dimension (0 for the aggregated one).
   const std::int64_t* strides = nullptr;
-  /// Sparse only: projected child offset of every cell of a full chunk,
-  /// or nullptr when boundary-style decoding is used everywhere.
-  const std::int64_t* chunk_offsets = nullptr;
+  /// Sparse only: the target's index into the scan's SplitTables.
+  std::size_t index = 0;
 };
 
 /// The units one task scans, in this order: `count` runs of `len` units,
@@ -329,6 +329,7 @@ std::vector<KernelTarget> kernel_targets_of(
   for (std::size_t c = 0; c < targets.size(); ++c) {
     bound[c].base = targets[c].child->data();
     bound[c].strides = strides[c].data();
+    bound[c].index = c;
   }
   return bound;
 }
@@ -357,19 +358,187 @@ AggregationStats aggregate_dense(const DenseArray& parent,
   return stats;
 }
 
-/// Scans the sparse chunks of `runs`, combining into every target. Chunks
-/// go in ascending id order and the nonzeros of a chunk in their stored
-/// order, so per child cell the contributions of these chunks arrive in
-/// serial scan order.
-template <AggregateOp Op>
-void scan_sparse_chunks(const SparseArray& parent, const UnitRuns& runs,
+/// Projected child offsets of every cell of the row-major sub-shape
+/// `extents`, whose dimension k has child stride strides[k].
+std::vector<std::int64_t> side_table(std::span<const std::int64_t> extents,
+                                     const std::int64_t* strides) {
+  std::vector<std::int64_t> table{0};
+  for (std::size_t k = 0; k < extents.size(); ++k) {
+    std::vector<std::int64_t> next;
+    next.reserve(table.size() * static_cast<std::size_t>(extents[k]));
+    for (const std::int64_t base : table) {
+      for (std::int64_t x = 0; x < extents[k]; ++x) {
+        next.push_back(base + x * strides[k]);
+      }
+    }
+    table = std::move(next);
+  }
+  return table;
+}
+
+/// The split tables of one sparse scan. A chunk offset splits at a
+/// dimension s as off = o * V_in + i, where o is the row-major index of
+/// the cell's outer coordinates (dims [0, s)) and i that of its inner
+/// coordinates (dims [s, m)), both within the chunk's own extents. Per
+/// target, an outer table maps o and an inner table maps i to their share
+/// of the child offset, so the cell lands at origin + outer[o] + inner[i].
+/// s balances V_out + V_in, so a table has about sqrt(chunk volume)
+/// entries (or at most kMaxInnerTable). Along each dimension a
+/// chunk is either interior or the clipped last one, so a side's tables
+/// are built once per *variant*: the set of its clipped dimensions the
+/// chunk is last along.
+class SplitTables {
+ public:
+  /// One side of the split: the dimensions before s, or from s on.
+  struct Side {
+    /// Dimensions of the side whose last chunk is clipped; bit j of a
+    /// variant says the chunk is the last along clipped[j].
+    std::vector<int> clipped;
+    /// Cells of the side's sub-shape, per variant.
+    std::vector<std::int64_t> volume;
+    /// Entry variant * targets + target: that target's table.
+    std::vector<std::vector<std::int64_t>> tables;
+  };
+
+  SplitTables(const SparseArray& parent,
+              std::span<const KernelTarget> targets)
+      : grid_(parent.chunk_grid()), num_targets_(targets.size()) {
+    const int m = parent.ndim();
+    const std::vector<std::int64_t>& chunk = parent.chunk_extents();
+    // Extents of a chunk that is first (interior, unless the only one) and
+    // last along each dimension.
+    std::vector<std::int64_t> first(static_cast<std::size_t>(m));
+    std::vector<std::int64_t> last(static_cast<std::size_t>(m));
+    for (int d = 0; d < m; ++d) {
+      const std::int64_t extent = parent.shape().extent(d);
+      first[d] = std::min(chunk[d], extent);
+      last[d] = extent - (grid_.extent(d) - 1) * chunk[d];
+    }
+    // The split that minimizes V_out + V_in (ties keep the larger inner
+    // side, so fewer rows), moved outward while the inner table stays
+    // within kMaxInnerTable: small chunks are then walked as one row.
+    std::vector<std::int64_t> v_in(static_cast<std::size_t>(m) + 1, 1);
+    for (int d = m - 1; d >= 0; --d) v_in[d] = v_in[d + 1] * first[d];
+    int split = 0;
+    std::int64_t best = 0;
+    for (int s = 0; s <= m; ++s) {
+      const std::int64_t v_out = v_in[0] / std::max<std::int64_t>(v_in[s], 1);
+      if (s == 0 || v_out + v_in[s] < best) {
+        best = v_out + v_in[s];
+        split = s;
+      }
+    }
+    while (split > 0 && v_in[split - 1] <= kMaxInnerTable) --split;
+    build_side(outer_, 0, split, first, last, targets);
+    build_side(inner_, split, m, first, last, targets);
+  }
+
+  const Side& outer() const { return outer_; }
+  const Side& inner() const { return inner_; }
+
+  /// The variant of `side` the chunk at grid coordinates `coords` has.
+  std::size_t variant(const Side& side, const std::int64_t* coords) const {
+    std::size_t v = 0;
+    for (std::size_t j = 0; j < side.clipped.size(); ++j) {
+      const int d = side.clipped[j];
+      if (coords[d] == grid_.extent(d) - 1) v |= std::size_t{1} << j;
+    }
+    return v;
+  }
+
+  const std::int64_t* table(const Side& side, std::size_t variant,
+                            std::size_t target) const {
+    return side.tables[variant * num_targets_ + target].data();
+  }
+
+ private:
+  /// Inner-table entries a chunk may use beyond its balanced split.
+  static constexpr std::int64_t kMaxInnerTable = 1 << 10;
+
+  void build_side(Side& side, int begin, int end,
+                  const std::vector<std::int64_t>& first,
+                  const std::vector<std::int64_t>& last,
+                  std::span<const KernelTarget> targets) {
+    for (int d = begin; d < end; ++d) {
+      if (last[d] != first[d]) side.clipped.push_back(d);
+    }
+    const std::size_t variants = std::size_t{1} << side.clipped.size();
+    for (std::size_t v = 0; v < variants; ++v) {
+      std::vector<std::int64_t> extents(first.begin() + begin,
+                                        first.begin() + end);
+      for (std::size_t j = 0; j < side.clipped.size(); ++j) {
+        const int d = side.clipped[j];
+        if ((v >> j) & 1) {
+          extents[static_cast<std::size_t>(d - begin)] = last[d];
+        }
+      }
+      std::int64_t volume = 1;
+      for (const std::int64_t e : extents) volume *= e;
+      side.volume.push_back(volume);
+      for (const KernelTarget& target : targets) {
+        side.tables.push_back(side_table(extents, target.strides + begin));
+      }
+    }
+  }
+
+  Shape grid_;
+  std::size_t num_targets_ = 0;
+  Side outer_;
+  Side inner_;
+};
+
+/// Walks one chunk's non-zeros row by row, combining into `num_targets`
+/// targets (the compile-time N when N > 0). Offsets ascend, so the row
+/// pointers origin[c] + outer[c][o] change only when a non-zero leaves the
+/// current outer row: at most one division per row (none when it moves to
+/// the next row), then per non-zero one subtraction plus one inner-table
+/// load and one combine per target. `dynamic_row` is scratch for
+/// `num_targets` row pointers, used when N == 0.
+template <AggregateOp Op, std::size_t N>
+void walk_chunk(std::span<const SparseArray::Offset> offsets,
+                std::span<const Value> values, std::int64_t inner_volume,
+                std::size_t num_targets, Value* const* origin,
+                const std::int64_t* const* outer,
+                const std::int64_t* const* inner, Value** dynamic_row) {
+  const std::size_t n = N > 0 ? N : num_targets;
+  std::array<Value*, N> fixed_row{};
+  Value** row = N > 0 ? fixed_row.data() : dynamic_row;
+  const auto row_len = static_cast<std::uint64_t>(inner_volume);
+  std::int64_t o = -1;  // current outer row: none yet
+  std::int64_t row_begin = -inner_volume;
+  for (std::size_t k = 0; k < offsets.size(); ++k) {
+    const auto off = static_cast<std::int64_t>(offsets[k]);
+    // Unsigned, so an offset below the row (an unsorted chunk) also
+    // leaves it.
+    const auto into_row = static_cast<std::uint64_t>(off - row_begin);
+    if (into_row >= row_len) {
+      o = into_row < 2 * row_len ? o + 1 : off / inner_volume;
+      row_begin = o * inner_volume;
+      for (std::size_t c = 0; c < n; ++c) row[c] = origin[c] + outer[c][o];
+    }
+    const std::int64_t i = off - row_begin;
+    const Value v = contribution_of(Op, values[k]);
+    for (std::size_t c = 0; c < n; ++c) combine(Op, row[c][inner[c][i]], v);
+  }
+}
+
+/// Scans the sparse chunks of `runs`, combining into every target (N of
+/// them when N > 0). Chunks go in ascending id order and the non-zeros of
+/// a chunk in their stored order, so per child cell the contributions of
+/// these chunks arrive in serial scan order.
+template <AggregateOp Op, std::size_t N>
+void scan_sparse_chunks(const SparseArray& parent, const SplitTables& tables,
+                        const UnitRuns& runs,
                         std::span<const KernelTarget> targets) {
   const int m = parent.ndim();
-  const std::size_t num_targets = targets.size();
+  const std::size_t n = targets.size();
+  CUBIST_DCHECK(N == 0 || N == n, "target count " << n << " != " << N);
   const std::vector<std::int64_t>& chunk_extents = parent.chunk_extents();
   std::vector<std::int64_t> chunk_coords(static_cast<std::size_t>(m), 0);
-  std::vector<std::int64_t> local(static_cast<std::size_t>(m), 0);
-  std::vector<Value*> out(num_targets);
+  std::vector<Value*> origin(n);
+  std::vector<const std::int64_t*> outer(n);
+  std::vector<const std::int64_t*> inner(n);
+  std::vector<Value*> row(N > 0 ? 0 : n);
 
   for (std::int64_t run = 0; run < runs.count; ++run) {
     const std::int64_t first = runs.first + run * runs.stride;
@@ -377,44 +546,48 @@ void scan_sparse_chunks(const SparseArray& parent, const UnitRuns& runs,
          ++chunk_id) {
       const auto offsets = parent.chunk_offsets(chunk_id);
       if (offsets.empty()) continue;
-      const auto values = parent.chunk_values(chunk_id);
       parent.chunk_grid().unravel(chunk_id, chunk_coords.data());
-      // out[c] points at the child cell of this chunk's origin.
-      for (std::size_t c = 0; c < num_targets; ++c) {
+      const std::size_t ov =
+          tables.variant(tables.outer(), chunk_coords.data());
+      const std::size_t iv =
+          tables.variant(tables.inner(), chunk_coords.data());
+      for (std::size_t c = 0; c < n; ++c) {
+        // origin[c] points at the child cell of this chunk's origin.
         std::int64_t projected = 0;
         for (int d = 0; d < m; ++d) {
           projected +=
               chunk_coords[d] * chunk_extents[d] * targets[c].strides[d];
         }
-        out[c] = targets[c].base + projected;
+        origin[c] = targets[c].base + projected;
+        outer[c] = tables.table(tables.outer(), ov, targets[c].index);
+        inner[c] = tables.table(tables.inner(), iv, targets[c].index);
       }
-
-      if (targets[0].chunk_offsets != nullptr &&
-          parent.chunk_is_full(chunk_coords)) {
-        for (std::size_t i = 0; i < offsets.size(); ++i) {
-          const auto off = offsets[i];
-          const Value v = contribution_of(Op, values[i]);
-          for (std::size_t c = 0; c < num_targets; ++c) {
-            combine(Op, out[c][targets[c].chunk_offsets[off]], v);
-          }
-        }
-      } else {
-        // Boundary chunk: clipped extents, decode offsets directly.
-        const Shape local_shape{parent.chunk_shape_at(chunk_coords)};
-        for (std::size_t i = 0; i < offsets.size(); ++i) {
-          local_shape.unravel(static_cast<std::int64_t>(offsets[i]),
-                              local.data());
-          const Value v = contribution_of(Op, values[i]);
-          for (std::size_t c = 0; c < num_targets; ++c) {
-            std::int64_t projected = 0;
-            for (int d = 0; d < m; ++d) {
-              projected += local[d] * targets[c].strides[d];
-            }
-            combine(Op, out[c][projected], v);
-          }
-        }
-      }
+      walk_chunk<Op, N>(offsets, parent.chunk_values(chunk_id),
+                        tables.inner().volume[iv], n, origin.data(),
+                        outer.data(), inner.data(), row.data());
     }
+  }
+}
+
+/// Calls `scan(std::integral_constant<std::size_t, N>{})` with N = `count`
+/// for the common small target counts, else N = 0 (a runtime count).
+template <typename Scan>
+void dispatch_count(std::size_t count, const Scan& scan) {
+  switch (count) {
+    case 1:
+      return scan(std::integral_constant<std::size_t, 1>{});
+    case 2:
+      return scan(std::integral_constant<std::size_t, 2>{});
+    case 3:
+      return scan(std::integral_constant<std::size_t, 3>{});
+    case 4:
+      return scan(std::integral_constant<std::size_t, 4>{});
+    case 5:
+      return scan(std::integral_constant<std::size_t, 5>{});
+    case 6:
+      return scan(std::integral_constant<std::size_t, 6>{});
+    default:
+      return scan(std::integral_constant<std::size_t, 0>{});
   }
 }
 
@@ -422,56 +595,22 @@ template <AggregateOp Op>
 AggregationStats aggregate_sparse(const SparseArray& parent,
                                   std::span<const AggregationTarget> targets,
                                   const AggregateOptions& options) {
-  const int m = parent.ndim();
-  const std::size_t num_targets = targets.size();
   const std::vector<std::vector<std::int64_t>> strides =
       projection_strides(parent.shape(), targets);
-  std::vector<KernelTarget> bound = kernel_targets_of(targets, strides);
-
-  // Fast path: every interior chunk shares the same shape, so the map
-  // (within-chunk offset) -> (child index contribution) is chunk-invariant.
-  // Build it once per target; interior non-zeros then cost one table lookup
-  // plus one combine per target. Only worthwhile (and only affordable) for
-  // reasonably small chunks — past the threshold every chunk takes the
-  // decode path instead of allocating a giant table. The table is integer
-  // data, so its construction parallelizes without ordering concerns.
-  constexpr std::int64_t kMaxTableVolume = std::int64_t{1} << 22;
-  const Shape full_chunk_shape{parent.chunk_extents()};
-  const std::int64_t full_volume = full_chunk_shape.size();
-  std::vector<std::vector<std::int64_t>> offset_table(num_targets);
-  if (full_volume <= kMaxTableVolume) {
-    for (std::size_t c = 0; c < num_targets; ++c) {
-      offset_table[c].resize(static_cast<std::size_t>(full_volume));
-      bound[c].chunk_offsets = offset_table[c].data();
-    }
-    pool_of(options).parallel_for(
-        0, full_volume, std::int64_t{1} << 14,
-        [&](std::int64_t lo, std::int64_t hi) {
-          std::vector<std::int64_t> local(static_cast<std::size_t>(m), 0);
-          for (std::int64_t off = lo; off < hi; ++off) {
-            full_chunk_shape.unravel(off, local.data());
-            for (std::size_t c = 0; c < num_targets; ++c) {
-              std::int64_t projected = 0;
-              for (int d = 0; d < m; ++d) {
-                projected += local[d] * strides[c][d];
-              }
-              offset_table[c][static_cast<std::size_t>(off)] = projected;
-            }
-          }
-        },
-        options.max_workers);
-  }
-
-  run_owner_computes(parent.chunk_grid(), parent.nnz(), targets, bound,
-                     options,
-                     [&](const UnitRuns& chunks,
-                         std::span<const KernelTarget> subset) {
-                       scan_sparse_chunks<Op>(parent, chunks, subset);
-                     });
+  const std::vector<KernelTarget> bound = kernel_targets_of(targets, strides);
+  const SplitTables tables(parent, bound);
+  run_owner_computes(
+      parent.chunk_grid(), parent.nnz(), targets, bound, options,
+      [&](const UnitRuns& chunks, std::span<const KernelTarget> subset) {
+        dispatch_count(subset.size(), [&](auto count) {
+          scan_sparse_chunks<Op, decltype(count)::value>(parent, tables,
+                                                         chunks, subset);
+        });
+      });
   AggregationStats stats;
   stats.cells_scanned = parent.nnz();
   stats.updates =
-      stats.cells_scanned * static_cast<std::int64_t>(num_targets);
+      stats.cells_scanned * static_cast<std::int64_t>(targets.size());
   return stats;
 }
 
@@ -554,19 +693,14 @@ AggregationStats project(const SparseArray& parent,
   CUBIST_CHECK(out != nullptr, "null projection output");
   const std::vector<std::int64_t> strides =
       multi_projection_strides(parent.shape(), kept_positions, *out);
-  const int m = parent.ndim();
-  Value* dst = out->data();
-  AggregationStats stats;
-  parent.for_each_nonzero([&](const std::int64_t* index, Value value) {
-    std::int64_t projected = 0;
-    for (int d = 0; d < m; ++d) {
-      projected += index[d] * strides[d];
-    }
-    dst[projected] += value;
-    ++stats.cells_scanned;
-    ++stats.updates;
-  });
-  return stats;
+  // The multi-way sparse kernel with one SUM target whose strides are 0
+  // on every dropped dimension.
+  const KernelTarget target{.base = out->data(), .strides = strides.data()};
+  const std::span<const KernelTarget> one(&target, 1);
+  scan_sparse_chunks<AggregateOp::kSum, 1>(
+      parent, SplitTables(parent, one), UnitRuns{.len = parent.num_chunks()},
+      one);
+  return {parent.nnz(), parent.nnz()};
 }
 
 }  // namespace cubist

@@ -123,10 +123,11 @@ AggregationStats aggregate_children(const DenseArray& parent,
                                     const AggregateOptions& options = {});
 
 /// Scans a chunk-offset sparse parent once, combining into every target
-/// under options.op. Uses a per-chunk-shape offset table so interior
-/// chunks cost one lookup and one combine per (non-zero, target).
-/// Split over the pool per plan_scan_split on the chunk grid; bit-identical
-/// results for any pool size.
+/// under options.op. Walks each chunk row by row with split offset tables
+/// (about sqrt(chunk volume) entries per target, per distinct chunk
+/// shape), so a non-zero costs one table lookup and one combine per
+/// target. Split over the pool per plan_scan_split on the chunk grid;
+/// bit-identical results for any pool size.
 AggregationStats aggregate_children(const SparseArray& parent,
                                     std::span<const AggregationTarget> targets,
                                     const AggregateOptions& options = {});
@@ -137,8 +138,9 @@ AggregationStats aggregate_children(const SparseArray& parent,
 /// accumulated into under SUM. Used by the MMST/MNST tree baselines, the
 /// reference verifier, PartialCube::build (each selected view from its
 /// smallest materialized ancestor) and the serving miss path
-/// (PartialCube::materialize_from) — an independent code path from the
-/// multi-way kernels, and scalar.
+/// (PartialCube::materialize_from). The dense overload is a scalar path
+/// independent of the multi-way kernels; the sparse one runs the sparse
+/// multi-way kernel inline with a single multi-dimension SUM target.
 AggregationStats project(const DenseArray& parent,
                          const std::vector<int>& kept_positions,
                          DenseArray* out);

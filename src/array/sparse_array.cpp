@@ -1,6 +1,7 @@
 #include "array/sparse_array.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/mathutil.h"
 
@@ -17,6 +18,14 @@ Shape make_chunk_grid(const Shape& shape,
     grid[d] = ceil_div(shape.extent(d), chunk_extents[d]);
   }
   return Shape(std::move(grid));
+}
+
+/// True if no value is NaN or infinite. A pass of its own: folded into
+/// assign_chunk's compaction loop, the test made that loop ~45% slower.
+bool all_finite(const std::vector<Value>& values) {
+  bool finite = true;
+  for (const Value v : values) finite &= std::isfinite(v);
+  return finite;
 }
 
 }  // namespace
@@ -67,6 +76,7 @@ std::int64_t SparseArray::locate(const std::int64_t* index,
 
 void SparseArray::push(const std::int64_t* index, Value value) {
   CUBIST_CHECK(!finalized_, "push after finalize");
+  CUBIST_CHECK(std::isfinite(value), "non-finite value " << value);
   if (value == Value{0}) return;
   Offset offset;
   const std::int64_t chunk_id = locate(index, &offset);
@@ -88,6 +98,8 @@ void SparseArray::assign_chunk(std::int64_t chunk_id,
   std::vector<std::int64_t> chunk_coords(static_cast<std::size_t>(ndim()));
   chunk_grid_.unravel(chunk_id, chunk_coords.data());
   const std::int64_t volume = checked_product(chunk_shape_at(chunk_coords));
+  CUBIST_CHECK(all_finite(values),
+               "chunk " << chunk_id << " holds a non-finite value");
   std::size_t kept = 0;  // zeros are dropped, as in push()
   for (std::size_t i = 0; i < offsets.size(); ++i) {
     CUBIST_CHECK(static_cast<std::int64_t>(offsets[i]) < volume,

@@ -25,7 +25,8 @@ class SparseArray {
   /// `chunk_extents` (clipped at the array boundary).
   SparseArray(Shape shape, std::vector<std::int64_t> chunk_extents);
 
-  /// Compresses a dense array; cells equal to 0 are dropped.
+  /// Compresses a dense array; cells equal to 0 are dropped. Throws
+  /// InvalidArgument on a NaN or infinite cell, as push() does.
   static SparseArray from_dense(const DenseArray& dense,
                                 std::vector<std::int64_t> chunk_extents);
 
@@ -50,7 +51,9 @@ class SparseArray {
 
   /// Appends a non-zero cell. Within one chunk, cells must arrive in
   /// ascending offset order (global row-major iteration guarantees this);
-  /// `finalize()` verifies. Zero values are dropped silently.
+  /// `finalize()` verifies. Zero values are dropped silently. Throws
+  /// InvalidArgument on NaN and +-inf: values must be finite, since the
+  /// MIN/MAX identities are +-inf and the wire codec skips identities.
   void push(const std::int64_t* index, Value value);
   void push(const std::vector<std::int64_t>& index, Value value) {
     CUBIST_CHECK(static_cast<int>(index.size()) == ndim(),
@@ -61,7 +64,8 @@ class SparseArray {
   /// Replaces chunk `chunk_id`'s non-zeros with `values[i]` at chunk
   /// offset `offsets[i]` (row-major within the chunk's clipped extents).
   /// Throws InvalidArgument after `finalize()`, on a bad chunk id, on
-  /// mismatched sizes and on any offset >= the chunk's volume. Zero values
+  /// mismatched sizes, on any offset >= the chunk's volume and on a
+  /// non-finite value. Zero values
   /// are dropped, as in push(); ordering and duplicates are left to
   /// `finalize()`, which sorts a chunk that arrived out of order.
   void assign_chunk(std::int64_t chunk_id, std::vector<Offset> offsets,

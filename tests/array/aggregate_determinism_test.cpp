@@ -127,9 +127,9 @@ TEST(AggregateDeterminismTest, SparseBitIdenticalAcrossPoolSizes) {
 }
 
 TEST(AggregateDeterminismTest, SparseUnevenBoundaryChunksBitIdentical) {
-  // Chunk extents that do not divide the array: boundary chunks take the
-  // decode path while interior chunks use the offset table, in the same
-  // split scan.
+  // Chunk extents that do not divide the array: boundary chunks walk
+  // their own clipped split tables while interior chunks share the full
+  // ones, in the same split scan.
   const DenseArray dense = testing::random_dense({51, 29, 38}, 0.45, 91);
   const SparseArray parent = SparseArray::from_dense(dense, {8, 8, 8});
   const std::vector<int> positions = all_positions(3);

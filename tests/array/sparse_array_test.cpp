@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "test_util.h"
 
 namespace cubist {
@@ -173,6 +175,47 @@ TEST(SparseArrayTest, AssignChunkDuplicateCaughtByFinalize) {
   SparseArray unsorted{Shape{{8}}, {8}};
   unsorted.assign_chunk(0, {5, 1, 5}, {1.0, 2.0, 3.0});
   EXPECT_THROW(unsorted.finalize(), InvalidArgument);
+}
+
+/// NaN, +inf and -inf: the values every sparse entry point rejects.
+std::vector<Value> non_finite_values() {
+  return {std::numeric_limits<Value>::quiet_NaN(),
+          std::numeric_limits<Value>::infinity(),
+          -std::numeric_limits<Value>::infinity()};
+}
+
+TEST(SparseArrayTest, PushRejectsNonFiniteValues) {
+  for (const Value bad : non_finite_values()) {
+    SparseArray s{Shape{{4, 4}}, {2, 2}};
+    s.push(std::vector<std::int64_t>{0, 1}, 1.0);
+    EXPECT_THROW(s.push(std::vector<std::int64_t>{2, 3}, bad),
+                 InvalidArgument)
+        << bad;
+    EXPECT_EQ(s.nnz(), 1);
+  }
+}
+
+TEST(SparseArrayTest, AssignChunkRejectsNonFiniteValues) {
+  for (const Value bad : non_finite_values()) {
+    SparseArray s{Shape{{8}}, {8}};
+    s.assign_chunk(0, {1, 2}, {1.0, 2.0});
+    EXPECT_THROW(s.assign_chunk(0, {3, 4, 5}, {3.0, bad, 5.0}),
+                 InvalidArgument)
+        << bad;
+    // The rejected call leaves the chunk as it was.
+    EXPECT_EQ(s.nnz(), 2);
+    s.finalize();
+    EXPECT_EQ(offsets_of(s, 0), (std::vector<SparseArray::Offset>{1, 2}));
+  }
+}
+
+TEST(SparseArrayTest, FromDenseRejectsNonFiniteCells) {
+  for (const Value bad : non_finite_values()) {
+    DenseArray dense = testing::random_dense({5, 6}, 0.5, 4);
+    dense.at({4, 5}) = bad;
+    EXPECT_THROW(SparseArray::from_dense(dense, {2, 4}), InvalidArgument)
+        << bad;
+  }
 }
 
 TEST(SparseArrayTest, HugeChunkVolumeRejected) {

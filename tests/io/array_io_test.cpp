@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -176,6 +177,17 @@ TEST_F(ArrayIoTest, HostileSparseDuplicateOffsetRejected) {
   const std::string file = track(path("hostile_duplicate.bin"));
   write_bytes(file, one_chunk_file({5, 2, 5}, {1.0, 2.0, 3.0}));
   EXPECT_THROW(read_sparse(file), InvalidArgument);
+}
+
+TEST_F(ArrayIoTest, HostileSparseNonFiniteValueRejected) {
+  const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  const std::string file = track(path("hostile_non_finite.bin"));
+  for (const double bad : bad_values) {
+    write_bytes(file, one_chunk_file({1, 6}, {2.0, bad}));
+    EXPECT_THROW(read_sparse(file), InvalidArgument) << bad;
+  }
 }
 
 TEST_F(ArrayIoTest, UnsortedSparseChunkIsSortedAndZerosDropped) {
